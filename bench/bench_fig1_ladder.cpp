@@ -93,7 +93,7 @@ int main() {
   }
   {  // 2b. functional simulation under the x86-64 template JIT — the
      // fastest rung that still executes every instruction (on hosts
-     // without the jit this measures chained-block dispatch instead).
+     // without the jit this measures block dispatch instead).
     nfp::sim::FunctionalSim sim;
     sim.load(job.program);
     for (const auto& [addr, bytes] : job.inputs) {
@@ -145,26 +145,6 @@ int main() {
     sim.run(nfp::sim::Iss::kDefaultMaxInsns, nfp::sim::Dispatch::kStep);
     Rung r;
     r.name = "board (approx timed, step)";
-    r.wall_s = wall_of(t0);
-    r.mips = instret / r.wall_s / 1e6;
-    r.has_estimate = true;
-    r.energy_err_pct = (sim.true_energy_nj() - e_true) / e_true * 100.0;
-    r.time_err_pct = (sim.true_time_s() - t_true) / t_true * 100.0;
-    rungs.push_back(r);
-  }
-  {  // 4c. the same board on the jit cost tier: emitted code retires the
-     // static base cycles inline and captures dynamic residuals for batched
-     // replay. Accounting is bit-identical by construction (+0.0% columns);
-     // only the wall clock moves — this is the fastest exact-cost rung.
-    nfp::board::Board sim(cfg);
-    sim.load(job.program);
-    for (const auto& [addr, bytes] : job.inputs) {
-      sim.bus().write_block(addr, bytes.data(), bytes.size());
-    }
-    t0 = std::chrono::steady_clock::now();
-    sim.run(nfp::sim::Iss::kDefaultMaxInsns, nfp::sim::Dispatch::kJit);
-    Rung r;
-    r.name = "board (approx timed, jit)";
     r.wall_s = wall_of(t0);
     r.mips = instret / r.wall_s / 1e6;
     r.has_estimate = true;

@@ -23,8 +23,8 @@ void set_provenance(benchmark::State& state, const char* dispatch) {
 }
 
 // Dispatch-speed workload: the mix() call keeps blocks short and makes
-// block-to-block transitions (call, conditional branch, jmpl return through
-// the branch-target cache) a large share of retired instructions — the very
+// block-to-block transitions (call, conditional branch, jmpl return) a
+// large share of retired instructions — the very
 // cost the dispatch modes differ on. Straight-line-only loops under-report
 // dispatch overhead because one morphed block amortizes it over dozens of
 // instructions.
@@ -69,26 +69,15 @@ void run_sim(benchmark::State& state, Make&& make, Go&& go) {
 
 constexpr std::uint64_t kBudget = 1'000'000'000ull;
 
-// Step / block-unchained / block-chained A/B triples for the two
-// batch-capable fidelity levels (the superblock morph cache and chaining
-// speedups reported in docs/block_cache.md).
+// Step / block A/B pairs for the two batch-capable fidelity levels (the
+// superblock morph cache speedup reported in docs/block_cache.md).
 void BM_FunctionalSim(benchmark::State& state) {
-  set_provenance(state, "block-chained");
+  set_provenance(state, "block");
   run_sim(
       state, [] { return nfp::sim::FunctionalSim(); },
       [](auto& sim) { return sim.run(kBudget); });
 }
 BENCHMARK(BM_FunctionalSim)->Unit(benchmark::kMillisecond);
-
-void BM_FunctionalSim_Unchained(benchmark::State& state) {
-  set_provenance(state, "block-unchained");
-  run_sim(
-      state, [] { return nfp::sim::FunctionalSim(); },
-      [](auto& sim) {
-        return sim.run(kBudget, nfp::sim::Dispatch::kBlockUnchained);
-      });
-}
-BENCHMARK(BM_FunctionalSim_Unchained)->Unit(benchmark::kMillisecond);
 
 void BM_FunctionalSim_Step(benchmark::State& state) {
   set_provenance(state, "step");
@@ -99,7 +88,7 @@ void BM_FunctionalSim_Step(benchmark::State& state) {
 BENCHMARK(BM_FunctionalSim_Step)->Unit(benchmark::kMillisecond);
 
 // The x86-64 template-JIT tier (Dispatch::kJit). On hosts where the jit
-// cannot run this silently measures chained-block dispatch instead — the
+// cannot run this silently measures block dispatch instead — the
 // label still says jit, but such a bench box is outside the snapshot's
 // provenance anyway.
 void BM_FunctionalSim_Jit(benchmark::State& state) {
@@ -111,22 +100,12 @@ void BM_FunctionalSim_Jit(benchmark::State& state) {
 BENCHMARK(BM_FunctionalSim_Jit)->Unit(benchmark::kMillisecond);
 
 void BM_IssWithCounters(benchmark::State& state) {
-  set_provenance(state, "block-chained");
+  set_provenance(state, "block");
   run_sim(
       state, [] { return nfp::sim::Iss(); },
       [](auto& sim) { return sim.run(kBudget); });
 }
 BENCHMARK(BM_IssWithCounters)->Unit(benchmark::kMillisecond);
-
-void BM_IssWithCounters_Unchained(benchmark::State& state) {
-  set_provenance(state, "block-unchained");
-  run_sim(
-      state, [] { return nfp::sim::Iss(); },
-      [](auto& sim) {
-        return sim.run(kBudget, nfp::sim::Dispatch::kBlockUnchained);
-      });
-}
-BENCHMARK(BM_IssWithCounters_Unchained)->Unit(benchmark::kMillisecond);
 
 void BM_IssWithCounters_Step(benchmark::State& state) {
   set_provenance(state, "step");
@@ -147,7 +126,7 @@ BENCHMARK(BM_IssWithCounters_Jit)->Unit(benchmark::kMillisecond);
 // Inline-vs-host BTC A/B pair on the call-dense workload (every mix() call
 // returns through a register-indirect jmpl): with the inline BTC the retl's
 // emitted probe chains straight into the return block; without it every
-// return re-enters the host loop, resolves through the interpreter's BTC,
+// return re-enters the host loop, resolves through BlockCache::lookup(),
 // and calls back into emitted code.
 void BM_FunctionalSim_Jit_InlineBtc(benchmark::State& state) {
   set_provenance(state, "jit-inline-btc");
@@ -172,7 +151,7 @@ BENCHMARK(BM_FunctionalSim_Jit_HostBtc)->Unit(benchmark::kMillisecond);
 // profiles + dynamic residual hooks) against the per-instruction stepping
 // baseline, at identical — bit-for-bit — cycle and energy accounting.
 void BM_BoardApproxTimed(benchmark::State& state) {
-  set_provenance(state, "block-chained");
+  set_provenance(state, "block");
   run_sim(
       state, [] { return nfp::board::Board(); },
       [](auto& sim) { return sim.run(kBudget); });
@@ -187,19 +166,8 @@ void BM_BoardApproxTimed_Step(benchmark::State& state) {
 }
 BENCHMARK(BM_BoardApproxTimed_Step)->Unit(benchmark::kMillisecond);
 
-// Board cost tier on the jit: static base cycles retire inline in emitted
-// code, dynamic residuals are captured and replayed in batch — accounting
-// stays bit-for-bit identical to both rows above.
-void BM_BoardApproxTimed_Jit(benchmark::State& state) {
-  set_provenance(state, "jit");
-  run_sim(
-      state, [] { return nfp::board::Board(); },
-      [](auto& sim) { return sim.run(kBudget, nfp::sim::Dispatch::kJit); });
-}
-BENCHMARK(BM_BoardApproxTimed_Jit)->Unit(benchmark::kMillisecond);
-
 void BM_BoardCycleStepped(benchmark::State& state) {
-  set_provenance(state, "block-chained");
+  set_provenance(state, "block");
   run_sim(
       state,
       [] {

@@ -24,7 +24,7 @@ void Board::step() {
   sim::Executor<BoardHooks> exec(platform_.cpu(), platform_.bus(), *hooks_);
   exec.set_decode_cache(platform_.code_base(), platform_.decode_cache());
   exec.set_block_cache(platform_.block_cache());
-  exec.set_block_dispatch(false);
+  exec.set_dispatch(sim::Dispatch::kStep);
   if (!platform_.cpu().halted) exec.step();
 }
 
@@ -32,15 +32,7 @@ sim::RunResult Board::run(std::uint64_t max_insns, sim::Dispatch dispatch) {
   sim::Executor<BoardHooks> exec(platform_.cpu(), platform_.bus(), *hooks_);
   exec.set_decode_cache(platform_.code_base(), platform_.decode_cache());
   exec.set_block_cache(platform_.block_cache());
-  exec.set_block_dispatch(dispatch != sim::Dispatch::kStep);
-  // BoardHooks expose the jit cost interface (jit_counts/jit_cycles/
-  // jit_replay/jit_advance_activity), so kJit runs cost-mode native code:
-  // static base cycles retire inline, dynamic residuals are captured and
-  // replayed in batch. When jit_available() is false the executor degrades
-  // to chained kBlock on its own.
-  exec.set_jit(dispatch == sim::Dispatch::kJit);
-  exec.set_chaining(dispatch == sim::Dispatch::kBlock ||
-                    dispatch == sim::Dispatch::kJit);
+  exec.set_dispatch(dispatch);
   exec.run(max_insns);
   sim::RunResult result;
   result.halted = platform_.cpu().halted;
@@ -171,7 +163,7 @@ void Board::restore_state(std::istream& in) {
 
   sim::apply_platform_chunks(r, platform_);
   // Same post-load invariant as load(): every block the fresh cache morphs
-  // must capture residual operands for cost-mode replay.
+  // must capture residual operands for block-cost replay.
   platform_.block_cache()->set_capture(true);
   hooks_ = std::make_unique<BoardHooks>(cfg_, cost_);
   hooks_->import_state(s);

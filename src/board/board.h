@@ -30,14 +30,22 @@ class Board {
   explicit Board(BoardConfig cfg = {});
 
   void load(const asmkit::Program& program);
-  // Runs under the chosen dispatch mode. Block dispatch retires whole
+  // Runs under the chosen dispatch mode: kStep, or kBlock for any other
+  // request (the jit tier serves only batch-retire hooks, so kJit runs
+  // kBlock — see effective_dispatch). Block dispatch retires whole
   // superblocks against precomputed static cost profiles with per-op
   // residual callbacks for the flagged subset; cycles, energy, and stats
-  // are bit-for-bit identical across all modes (see board/hooks.h). The
-  // morph cache is attached in every mode, so stores into the code range
+  // are bit-for-bit identical across modes (see board/hooks.h). The morph
+  // cache is attached in every mode, so stores into the code range
   // re-decode the image even when stepping.
   sim::RunResult run(std::uint64_t max_insns = kDefaultMaxInsns,
                      sim::Dispatch dispatch = sim::Dispatch::kBlock);
+
+  // The mode run() actually executes for a requested one.
+  static constexpr sim::Dispatch effective_dispatch(sim::Dispatch requested) {
+    return requested == sim::Dispatch::kStep ? sim::Dispatch::kStep
+                                             : sim::Dispatch::kBlock;
+  }
   // Executes a single instruction (debug monitor support).
   void step();
 

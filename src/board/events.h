@@ -9,7 +9,7 @@
 //
 // Every counter is derived from the same shared residual kernel both
 // dispatch tiers replay (board/hooks.h), so EventCounters is bit-identical
-// across Dispatch::kStep, kBlock and kJit, and it round-trips through the
+// across Dispatch::kStep and kBlock, and it round-trips through the
 // versioned snapshot format unchanged (board/board.cpp).
 #pragma once
 

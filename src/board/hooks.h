@@ -34,7 +34,6 @@
 #include "sim/block_cache.h"
 #include "sim/bus.h"
 #include "sim/hooks.h"
-#include "sim/jit.h"
 
 namespace nfp::board {
 
@@ -229,33 +228,6 @@ class BoardHooks {
     ev[Event::kBranchesUntaken] = stats_.branches_untaken;
     ev[Event::kStallCycles] = stats_.stall_cycles;
     return ev;
-  }
-
-  // ---- JIT cost-tier interface (Dispatch::kJit; see docs/jit.md) ----------
-  // Emitted code retires the static share natively: per-op counts into
-  // jit_counts() and each block's base cycles into *jit_cycles(), both as
-  // one add per exit. The dynamic share replays here from drained captures.
-  std::uint64_t* jit_counts() { return counts_.data(); }
-  std::uint64_t* jit_cycles() { return &cycles_; }
-
-  // Replays drained residual captures through the shared kernel in program
-  // order — the same apply_residual() call sequence the interpreted block
-  // path makes, so every accumulator stays bit-identical.
-  void jit_replay(const sim::JitCapture* e, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto op = static_cast<isa::Op>(e[i].op);
-      cycles_ += apply_residual(op, cost_.of(op), e[i].a, e[i].b);
-    }
-  }
-
-  // One batched activity advance over everything accumulated since `mark`
-  // (a cycles() snapshot from before the native entry): the tracker is a
-  // pure function of cumulative advanced cycles, so one run over the
-  // native-base + replayed-residual sum equals the per-block runs exactly.
-  void jit_advance_activity(std::uint64_t mark) {
-    if (cfg_.fidelity == Fidelity::kCycleStepped) {
-      advance_activity(cycles_ - mark);
-    }
   }
 
   // ---- snapshot support (sim/state_io.h, board/board.cpp) -----------------

@@ -232,7 +232,7 @@ class ChunkGen {
 
   // jmpl-dense stream: indirect calls through %g5, optionally selected
   // between two helpers by a data-dependent branch. Return sites from
-  // different static jmpl instructions stress BTC indexing.
+  // different static jmpl instructions stress the jit's inline BTC indexing.
   Chunk jmpl() {
     Emitter e;
     const std::uint32_t n = 1 + rng_.below(3);

@@ -64,7 +64,7 @@ std::vector<Snapshot> run_mode(sim::Iss& iss, const asmkit::Program& program,
 // every stop the machine is serialized (sim/state_io.h) and restored into
 // the OTHER half of a ping-pong executor pair, which continues the run.
 // Dispatch rotates segment by segment so save/restore boundaries cut through
-// warmed morph caches, chains, and jit translations in every mode; the
+// warmed morph caches and jit translations in every mode; the
 // restored executor re-warms from scratch and must still match the
 // straight-through kStep reference at every checkpoint.
 std::vector<Snapshot> run_snapshot_mode(
@@ -73,7 +73,6 @@ std::vector<Snapshot> run_snapshot_mode(
   std::vector<sim::Dispatch> rota = {sim::Dispatch::kBlock,
                                      sim::Dispatch::kStep};
   if (sim::jit_available()) rota.push_back(sim::Dispatch::kJit);
-  rota.push_back(sim::Dispatch::kBlockUnchained);
 
   std::vector<Snapshot> out;
   sim::Iss* cur = &a;
@@ -220,9 +219,7 @@ std::vector<BoardSnapshot> run_board_mode(
 std::vector<BoardSnapshot> run_board_snapshot_mode(
     board::Board& a, board::Board& b, const asmkit::Program& program,
     const std::vector<std::uint64_t>& stops) {
-  std::vector<sim::Dispatch> rota = {sim::Dispatch::kBlock,
-                                     sim::Dispatch::kStep};
-  if (sim::jit_available()) rota.push_back(sim::Dispatch::kJit);
+  const sim::Dispatch rota[] = {sim::Dispatch::kBlock, sim::Dispatch::kStep};
 
   std::vector<BoardSnapshot> out;
   board::Board* cur = &a;
@@ -233,7 +230,7 @@ std::vector<BoardSnapshot> run_board_snapshot_mode(
     std::string fault;
     try {
       const std::uint64_t done = cur->cpu().instret;
-      if (stop > done) cur->run(stop - done, rota[seg % rota.size()]);
+      if (stop > done) cur->run(stop - done, rota[seg % std::size(rota)]);
     } catch (const std::exception& e) {
       fault = e.what();
     }
@@ -351,14 +348,9 @@ DiffReport run_differential(const asmkit::Program& program,
 
   const std::vector<Snapshot> ref =
       run_mode(arena.step, program, sim::Dispatch::kStep, stops);
-  const std::vector<Snapshot> unchained =
-      run_mode(arena.unchained, program, sim::Dispatch::kBlockUnchained, stops);
-  if (!compare_traces(ref, unchained, stops, "block-unchained", report)) {
-    return report;
-  }
-  const std::vector<Snapshot> chained =
+  const std::vector<Snapshot> block =
       run_mode(arena.block, program, sim::Dispatch::kBlock, stops);
-  if (!compare_traces(ref, chained, stops, "block", report)) return report;
+  if (!compare_traces(ref, block, stops, "block", report)) return report;
 
   if (config.check_jit && sim::jit_available()) {
     const std::vector<Snapshot> jit =
@@ -372,28 +364,18 @@ DiffReport run_differential(const asmkit::Program& program,
     if (!compare_traces(ref, snap, stops, "snapshot", report)) return report;
   }
 
-  const bool board_jit = config.check_board_jit && sim::jit_available();
-  if (config.check_board || board_jit) {
+  if (config.check_board) {
     // Board phase last (it is the most expensive: more platforms, cost
     // accounting on). The same stop schedule applies: board streams match
     // the ISS streams instruction for instruction.
     const std::vector<BoardSnapshot> bref =
         run_board_mode(arena.board_step, program, sim::Dispatch::kStep, stops);
-    if (config.check_board) {
-      const std::vector<BoardSnapshot> bblk = run_board_mode(
-          arena.board_block, program, sim::Dispatch::kBlock, stops);
-      if (!compare_board_traces(bref, bblk, stops, "board-block", report)) {
-        return report;
-      }
+    const std::vector<BoardSnapshot> bblk = run_board_mode(
+        arena.board_block, program, sim::Dispatch::kBlock, stops);
+    if (!compare_board_traces(bref, bblk, stops, "board-block", report)) {
+      return report;
     }
-    if (board_jit) {
-      const std::vector<BoardSnapshot> bjit = run_board_mode(
-          arena.board_jit, program, sim::Dispatch::kJit, stops);
-      if (!compare_board_traces(bref, bjit, stops, "board-jit", report)) {
-        return report;
-      }
-    }
-    if (config.check_snapshot && config.check_board) {
+    if (config.check_snapshot) {
       const std::vector<BoardSnapshot> bsnap = run_board_snapshot_mode(
           arena.board_snap_a, arena.board_snap_b, program, stops);
       compare_board_traces(bref, bsnap, stops, "board-snapshot", report);

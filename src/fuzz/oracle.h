@@ -40,11 +40,6 @@ struct DiffConfig {
   // every checkpoint. Silently skipped when jit_available() is false (the
   // oracle degrades rather than testing jit-that-is-really-block twice).
   bool check_jit = true;
-  // Also run the board under Dispatch::kJit (the cost-mode jit tier: native
-  // static-cost retirement + batched residual replay) against the board's
-  // kStep reference, same bit-for-bit comparison as check_board. Skipped
-  // when jit_available() is false.
-  bool check_board_jit = true;
   // Save→restore→continue leg (sim/state_io.h): at every budget stop the run
   // is serialized and restored into a second fresh executor which continues
   // the schedule — rotating through the dispatch modes segment by segment —
@@ -82,15 +77,13 @@ struct DiffReport {
 // skipping the full-RAM re-zeroing cost. One arena per thread.
 struct DiffArena {
   sim::Iss step;
-  sim::Iss unchained;
   sim::Iss block;
   sim::Iss jit;
-  // Board set for the step-vs-block and step-vs-jit cost differentials
-  // (DiffConfig::check_board / check_board_jit). Default config: variation
-  // and the SDRAM row model on, so every residual kind is exercised.
+  // Board pair for the step-vs-block cost differential
+  // (DiffConfig::check_board). Default config: variation and the SDRAM row
+  // model on, so every residual kind is exercised.
   board::Board board_step;
   board::Board board_block;
-  board::Board board_jit;
   // Ping-pong pairs for the snapshot leg (DiffConfig::check_snapshot): the
   // run alternates between the two halves across save/restore boundaries.
   sim::Iss snap_a;

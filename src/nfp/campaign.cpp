@@ -4,18 +4,11 @@
 #include <thread>
 
 #include "sim/iss.h"
-#include "sim/jit.h"
 
 namespace nfp::model {
 
 Campaign::Campaign(board::BoardConfig cfg, unsigned threads)
-    : cfg_(cfg),
-      threads_(threads),
-      // Same availability probe as the nfpc CLI: the jit tier where emitted
-      // code can run, chained kBlock everywhere else (non-x86-64 hosts,
-      // sanitizer presets, NFP_JIT_DISABLED).
-      dispatch_(sim::jit_available() ? sim::Dispatch::kJit
-                                     : sim::Dispatch::kBlock) {
+    : cfg_(cfg), threads_(threads) {
   if (threads_ == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     // Each worker holds two 16 MiB platforms; cap the default fleet.

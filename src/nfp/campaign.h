@@ -71,10 +71,11 @@ class Campaign {
 
   // Dispatch mode for the board runs (the ISS always runs kBlock). Board
   // accounting is bit-identical across modes, so this is a speed knob — the
-  // default is kJit wherever emitted code can run (resolved through the
-  // same jit-availability probe as the CLI; chained kBlock elsewhere); step
-  // is the A/B baseline surfaced on nfpc as --dispatch=step.
-  void set_board_dispatch(sim::Dispatch dispatch) { dispatch_ = dispatch; }
+  // default is kBlock; step is the A/B baseline surfaced on nfpc as
+  // --dispatch=step. A kJit request runs (and reports) kBlock.
+  void set_board_dispatch(sim::Dispatch dispatch) {
+    dispatch_ = board::Board::effective_dispatch(dispatch);
+  }
   sim::Dispatch board_dispatch() const { return dispatch_; }
 
   // Runs every job on both platforms. Results keep the job order.
@@ -87,7 +88,7 @@ class Campaign {
  private:
   board::BoardConfig cfg_;
   unsigned threads_;
-  sim::Dispatch dispatch_;  // resolved in the constructor (jit probe)
+  sim::Dispatch dispatch_ = sim::Dispatch::kBlock;
 };
 
 }  // namespace nfp::model

@@ -5,16 +5,13 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/jit.h"
-
 namespace nfp::model {
 
 CampaignService::CampaignService(ServiceConfig cfg)
     : cfg_(std::move(cfg)),
       estimator_(find_estimator(cfg_.scheme)),
-      dispatch_(cfg_.dispatch.value_or(sim::jit_available()
-                                           ? sim::Dispatch::kJit
-                                           : sim::Dispatch::kBlock)) {
+      dispatch_(board::Board::effective_dispatch(
+          cfg_.dispatch.value_or(sim::Dispatch::kBlock))) {
   if (estimator_ == nullptr) {
     throw std::invalid_argument("CampaignService: unknown scheme '" +
                                 cfg_.scheme + "' (known: " +

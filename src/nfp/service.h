@@ -103,9 +103,9 @@ struct ServiceConfig {
   board::BoardConfig board;
   // Worker thread count; 0 = min(hardware_concurrency, 8), at least 2.
   unsigned workers = 0;
-  // Board dispatch; unset = the jit-availability probe (kJit where emitted
-  // code can run, chained kBlock elsewhere). Board accounting is
-  // bit-identical across modes, so this is purely a speed knob.
+  // Board dispatch; unset = kBlock, and a kJit request runs (and is
+  // reported as) kBlock. Board accounting is bit-identical across modes, so
+  // this is purely a speed knob.
   std::optional<sim::Dispatch> dispatch;
   // Compute estimates via a warm calibration table (calibrated once,
   // lazily, with `plan` against the service's board config).

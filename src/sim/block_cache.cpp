@@ -779,53 +779,6 @@ Block* BlockCache::morph(std::uint32_t idx) {
   return blocks_.back().get();
 }
 
-void BlockCache::install_link(Block& from, std::uint32_t pc, Block& to) {
-  // A dead predecessor outlives its flush only until the graveyard drains;
-  // a link (or back-reference) on it would dangle past that point.
-  if (from.dead || to.dead) return;
-  for (auto& l : from.links) {
-    if (l.target == nullptr) {
-      l.pc = pc;
-      l.target = &to;
-      to.preds.push_back(&from);
-      ++stats_.links_installed;
-      return;
-    }
-    if (l.pc == pc) return;  // edge already memoized
-  }
-  // Both slots hold other edges (e.g. a patched-over branch); the edge
-  // stays unmemoized and keeps resolving through lookup_fallback().
-}
-
-void BlockCache::unlink(Block& b) {
-  // Emitted chain jumps are the jit's equivalent of the links below: every
-  // patched jump into b must be redirected back through its exit stub before
-  // b's SPARC words can change, and b's own patches must be withdrawn so a
-  // later flush of a successor never misses the (now-dead) edge.
-  if (jit_ != nullptr) jit_->on_block_death(b);
-  // Incoming edges: predecessors drop their links into b. A self-loop puts
-  // b in its own pred list, which this pass handles like any other.
-  for (Block* p : b.preds) {
-    for (auto& l : p->links) {
-      if (l.target == &b) {
-        l.target = nullptr;
-        ++stats_.links_severed;
-      }
-    }
-  }
-  b.preds.clear();
-  // Outgoing edges: successors forget b as a predecessor. Cleared rather
-  // than left on the dead block so an in-flight chain re-enters lookup()
-  // instead of trusting an edge that invalidation may be about to cut.
-  for (auto& l : b.links) {
-    if (l.target == nullptr) continue;
-    auto& preds = l.target->preds;
-    preds.erase(std::remove(preds.begin(), preds.end(), &b), preds.end());
-    l.target = nullptr;
-    ++stats_.links_severed;
-  }
-}
-
 void BlockCache::invalidate(std::uint32_t ea, std::uint32_t bytes) {
   // Clamp [ea, ea + bytes) to the code image (a wide store can straddle its
   // edges) and work in word granules.
@@ -849,11 +802,9 @@ void BlockCache::invalidate(std::uint32_t ea, std::uint32_t bytes) {
     // past the block into the emitted code, so it counts as footprint here.
     const std::uint32_t jit_tail = slot->jit_folds_delay ? 1u : 0u;
     if (slot->start < hi && slot->start + 4 * (slot->len + jit_tail) > lo) {
-      unlink(*slot);
-      for (auto& e : btc_) {
-        if (e.block == slot.get()) e = BtcEntry{};
-      }
-      slot->dead = true;
+      // Every patched jump into and out of the emitted code must be
+      // withdrawn before the block's SPARC words can change.
+      if (jit_ != nullptr) jit_->on_block_death(*slot);
       index_[(slot->start - code_base_) >> 2] = kUnknown;
       ++stats_.flushes;
       graveyard_.push_back(std::move(slot));

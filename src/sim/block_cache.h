@@ -13,25 +13,13 @@
 // profile so hooks without per-instruction detail (functional sim, counting
 // ISS) retire the block with one vector-add.
 //
-// Chaining: most blocks transfer to the same one or two successors every
-// time, so each block memoizes up to two resolved exit edges (exit pc ->
-// successor block) the first time they resolve; the dispatch loop follows a
-// matching link straight into the next trace without re-entering lookup().
-// Register-indirect exits (jmpl: returns, function pointers) have unbounded
-// targets instead, so they go through a small direct-mapped branch-target
-// cache (pc -> Block*). Both are pure lookup memos — correctness only
-// requires invalidation to clear them, which flush does from both sides via
-// per-block back-references (see invalidate()).
-//
 // Invalidation: programs are loaded read-only into RAM, but a store that
 // lands inside the cached code range re-decodes the overwritten words and
 // flushes every block overlapping them (taking effect at the next block
 // entry; the remainder of a block already in flight completes from its
-// morphed trace, and chain links into or out of flushed blocks are severed
-// immediately so a chain in flight falls back to lookup()).
+// morphed trace).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -91,16 +79,6 @@ inline void MorphCtx::sync_instret(const MorphInsn& m) const {
   st.instret = entry_instret + static_cast<std::uint64_t>(&m - base);
 }
 
-struct Block;
-
-// One memoized exit edge: the pc execution actually arrived at after this
-// block (and its delay slot, if any) plus the block entered there. Purely a
-// cached BlockCache::lookup() result; target == nullptr marks a free slot.
-struct ChainLink {
-  std::uint32_t pc = 0;
-  Block* target = nullptr;
-};
-
 struct Block {
   std::uint32_t start = 0;  // entry pc
   std::uint32_t len = 0;    // instructions in the block (>= 1)
@@ -109,17 +87,9 @@ struct Block {
   // pc/npc update. The CTI's delay slot always single-steps.
   bool ends_with_cti = false;
   // Terminating CTI is a jmpl: the exit target is register-dependent, so
-  // successor resolution goes through the branch-target cache, never links.
+  // the jit resolves it through its inline branch-target cache instead of a
+  // patched jump.
   bool indirect_exit = false;
-  // Set when invalidate() flushes the block. The trace stays executable
-  // until the graveyard drains, but no new links may be installed on it.
-  bool dead = false;
-  // Successor links (fallthrough/not-taken and direct taken target),
-  // populated lazily the first time an exit resolves. Two-sided: preds
-  // back-references every block holding a link into this one, so flushing
-  // can sever incoming edges without scanning the whole cache.
-  std::array<ChainLink, 2> links{};
-  std::vector<Block*> preds;
   std::vector<MorphInsn> code;
   // Static retire profile: per-op counts for one front-to-back execution.
   std::vector<BlockOpCount> profile;
@@ -140,12 +110,6 @@ struct Block {
   // the block's footprint (see BlockCache::invalidate).
   bool jit_folds_delay = false;
   JitBlockMeta* jit_meta = nullptr;
-
-  Block* chain_next(std::uint32_t pc) {
-    if (links[0].target != nullptr && links[0].pc == pc) return links[0].target;
-    if (links[1].target != nullptr && links[1].pc == pc) return links[1].target;
-    return nullptr;
-  }
 };
 
 class BlockCache {
@@ -155,19 +119,10 @@ class BlockCache {
   // block granularity without starving on giant unrolled kernels.
   static constexpr std::uint32_t kMaxBlockLen = 256;
 
-  // Branch-target cache geometry: direct-mapped, indexed by word address.
-  static constexpr std::uint32_t kBtcEntries = 128;
-
   struct Stats {
     std::uint64_t blocks_morphed = 0;
     std::uint64_t insns_morphed = 0;
     std::uint64_t flushes = 0;
-    std::uint64_t links_installed = 0;   // successor edges memoized
-    std::uint64_t links_severed = 0;     // edges cut by invalidation
-    std::uint64_t chain_hits = 0;        // dispatches entered via a link
-    std::uint64_t btc_hits = 0;          // dispatches entered via the BTC
-    std::uint64_t btc_misses = 0;        // BTC probes that fell through
-    std::uint64_t lookup_fallbacks = 0;  // block transitions via full lookup
   };
 
   // `dcache` is the platform's predecoded image over
@@ -198,47 +153,13 @@ class BlockCache {
     return morph(idx);
   }
 
-  // lookup() on a chain edge that no link or BTC entry resolved. May morph,
-  // and thus may free graveyard blocks — callers must not touch a dead
-  // predecessor afterwards.
-  Block* lookup_fallback(std::uint32_t pc) {
-    ++stats_.lookup_fallbacks;
-    return lookup(pc);
-  }
-
-  // Branch-target cache for register-indirect exits: maps an arrived-at pc
-  // to the block entered there. Entries pointing into a flushed block are
-  // purged by invalidate(), so a hit is always live.
-  Block* btc_lookup(std::uint32_t pc) {
-    const BtcEntry& e = btc_[(pc >> 2) & (kBtcEntries - 1)];
-    if (e.block != nullptr && e.pc == pc) {
-      ++stats_.btc_hits;
-      return e.block;
-    }
-    ++stats_.btc_misses;
-    return nullptr;
-  }
-
-  void btc_insert(std::uint32_t pc, Block* block) {
-    if (block->dead) return;
-    btc_[(pc >> 2) & (kBtcEntries - 1)] = BtcEntry{pc, block};
-  }
-
-  // Memoizes `from`'s resolved exit edge (pc -> to). No-op when either side
-  // is dead or both link slots already hold other edges.
-  void install_link(Block& from, std::uint32_t pc, Block& to);
-
-  void count_chain_hit() { ++stats_.chain_hits; }
-
   // Cheap range test used by store paths before paying for invalidate().
   bool covers_code(std::uint32_t ea) const { return ea - code_base_ < limit_; }
 
   // A store hit [ea, ea + bytes) inside the code range: re-decode the
-  // touched words and flush every block overlapping them. Flushing is
-  // two-sided: every predecessor edge into a flushed block is unlinked, the
-  // flushed block's own out-edges are severed, and BTC entries naming it
-  // are purged — so a chain in flight finishes its current trace and then
-  // falls back to lookup() instead of following a stale pointer.
+  // touched words and flush every block overlapping them. A flushed block
+  // in flight finishes its current trace; its successor then resolves
+  // through lookup(), which re-morphs the patched code.
   void invalidate(std::uint32_t ea, std::uint32_t bytes);
 
   const Stats& stats() const { return stats_; }
@@ -246,9 +167,9 @@ class BlockCache {
   // ---- JIT tier (Dispatch::kJit) ------------------------------------------
   // The runtime owning the executable arena and per-block code lives with
   // the cache so invalidation can unpatch emitted chain jumps exactly when
-  // it severs the interpreter's chain links. ensure_jit() builds it on first
-  // use; it returns nullptr when the host cannot execute emitted code (the
-  // executor then stays on the kBlock path).
+  // it flushes a block. ensure_jit() builds it on first use; it returns
+  // nullptr when the host cannot execute emitted code (the executor then
+  // stays on the kBlock path).
   JitRuntime* ensure_jit();
   JitRuntime* jit() { return jit_.get(); }
 
@@ -263,16 +184,7 @@ class BlockCache {
   static constexpr std::int32_t kUnknown = -1;
   static constexpr std::int32_t kNoBlock = -2;
 
-  struct BtcEntry {
-    std::uint32_t pc = 0;
-    Block* block = nullptr;
-  };
-
   Block* morph(std::uint32_t idx);
-
-  // Severs every chain edge into and out of `b` (both link slots and the
-  // matching back-references) ahead of parking it in the graveyard.
-  void unlink(Block& b);
 
   Bus& bus_;
   std::uint32_t code_base_;
@@ -285,7 +197,6 @@ class BlockCache {
   // currently being executed must leave its morphed trace alive until the
   // dispatch loop returns to lookup(), which drains the graveyard.
   std::vector<std::unique_ptr<Block>> graveyard_;
-  std::array<BtcEntry, kBtcEntries> btc_{};
   Stats stats_;
   bool capture_ = false;
   std::unique_ptr<JitRuntime> jit_;

@@ -11,21 +11,17 @@
 //    available; the only mode for hooks that need per-instruction detail).
 //  - kBlock: whole superblocks per dispatch through a BlockCache of morphed
 //    handler traces, with batched retire accounting for hooks that declare
-//    kBatchRetire (see block_cache.h). Blocks chain: resolved exits link
-//    block to block (plus a branch-target cache for register-indirect
-//    exits), so the hot loop re-enters BlockCache::lookup() only on
-//    unresolved edges, budget exhaustion, faults, and flushed links.
-//  - kBlockUnchained: kBlock with chaining disabled — every transition goes
-//    through lookup(). The A/B baseline for the chaining speedup.
-//  - kJit: the x86-64 template JIT tier above the morph cache (sim/jit.h):
-//    compiled blocks execute natively with retire counters and instret
-//    batched to one add per counter per block, and resolved transitions
-//    patched directly into the emitted code. kBlockCost hooks exposing the
-//    jit cost interface (the board) run a cost-mode variant: static base
-//    cycles retire natively, dynamic residuals are captured and replayed in
-//    batch. Per-block fallback to the kBlock interpreter for blocks the
-//    compiler rejects (FPU), global fallback to chained kBlock when the
-//    host cannot execute emitted code.
+//    kBatchRetire and per-block cost profiles for kBlockCost hooks (see
+//    block_cache.h). Every block transition resolves through
+//    BlockCache::lookup().
+//  - kJit: the x86-64 template JIT tier above the morph cache (sim/jit.h)
+//    for batch-retire hooks (functional/counting): compiled blocks execute
+//    natively with retire counters and instret batched to one add per
+//    counter per block, and resolved transitions patched directly into the
+//    emitted code. Per-block fallback to the kBlock interpreter for blocks
+//    the compiler rejects (FPU), global fallback to kBlock when the host
+//    cannot execute emitted code. kBlockCost hooks (the board) always run
+//    kBlock under a kJit request.
 #pragma once
 
 #include <array>
@@ -45,8 +41,8 @@
 namespace nfp::sim {
 
 // Execution-mode selector surfaced on the simulator front ends (and on the
-// nfpc CLI as --dispatch={step,block,block-unchained,jit}).
-enum class Dispatch { kStep, kBlock, kBlockUnchained, kJit };
+// nfpc CLI as --dispatch={step,block,jit}).
+enum class Dispatch { kStep, kBlock, kJit };
 
 template <class Hooks>
 class Executor {
@@ -62,29 +58,22 @@ class Executor {
   }
 
   // Attaches the superblock morph cache. Block dispatch engages only for
-  // hook types with kBatchRetire; for all hook types an attached cache also
-  // routes stores into the code range through invalidation, so self-modified
-  // words are re-decoded instead of executed stale.
+  // hook types with kBatchRetire or kBlockCost; for all hook types an
+  // attached cache also routes stores into the code range through
+  // invalidation, so self-modified words are re-decoded instead of executed
+  // stale.
   void set_block_cache(BlockCache* cache) { block_cache_ = cache; }
 
-  // Disables block-to-block chaining (Dispatch::kBlockUnchained): every
-  // transition resolves through BlockCache::lookup(), reproducing the
-  // pre-chaining dispatch loop for A/B measurement.
-  void set_chaining(bool on) { chain_ = on; }
-
-  // Requests the JIT tier (Dispatch::kJit). Engages for batch-retire hooks
-  // (functional/counting) and for kBlockCost hooks exposing the jit cost
-  // interface (the board), and only when jit_available(); in every other
-  // combination run() silently stays on the (chained) kBlock path, so kJit
-  // is always a safe request.
-  void set_jit(bool on) { jit_ = on; }
-
-  // Disables whole-block dispatch while keeping the attached cache's store
-  // invalidation live (Dispatch::kStep with a cache attached): every
-  // instruction goes through the op switch, but stores into the code range
-  // still re-decode the image, so the stepping reference stays
-  // architecturally meaningful on self-modifying programs.
-  void set_block_dispatch(bool on) { block_dispatch_ = on; }
+  // Selects the dispatch tier run() uses. kStep keeps the attached cache's
+  // store invalidation live while every instruction goes through the op
+  // switch, so the stepping reference stays architecturally meaningful on
+  // self-modifying programs. kJit engages only for batch-retire hooks and
+  // only when jit_available(); in every other combination run() stays on
+  // the kBlock path, so kJit is always a safe request.
+  void set_dispatch(Dispatch dispatch) {
+    block_dispatch_ = dispatch != Dispatch::kStep;
+    jit_ = dispatch == Dispatch::kJit;
+  }
 
   // Runs until halt or until `max_insns` more instructions retire.
   // Returns the number of instructions executed in this call.
@@ -96,14 +85,11 @@ class Executor {
         if (jr != nullptr) return run_jit(*jr, max_insns);
       }
     }
-    if constexpr (Hooks::kBlockCost && kHasJitCostInterface) {
-      if (block_cache_ != nullptr && block_dispatch_ && jit_) {
-        JitRuntime* jr = block_cache_->ensure_jit();
-        if (jr != nullptr) return run_jit_cost(*jr, max_insns);
-      }
-    }
     if constexpr (Hooks::kBatchRetire || Hooks::kBlockCost) {
       if (block_cache_ != nullptr && block_dispatch_) {
+        // Deliberately one flat loop: a nested per-block loop inlined here
+        // made GCC spill the block pointer around every call (5-20% on the
+        // ISS).
         while (!st_.halted && executed < max_insns) {
           // Block entry requires a sequential pc/npc pair: a delay-slot
           // instruction (npc already redirected) must single-step.
@@ -112,10 +98,14 @@ class Executor {
             Block* block = block_cache_->lookup(pc);
             if (block != nullptr && block->len <= max_insns - executed &&
                 block_enterable(*block)) {
-              // Both modes run the same block loop so A/B timings compare
-              // link-following against lookup(), not two code layouts.
-              executed += chain_ ? run_blocks<true>(*block, max_insns - executed)
-                                 : run_blocks<false>(*block, max_insns - executed);
+              if constexpr (Hooks::kBlockCost) {
+                exec_block_cost(*block);
+              } else {
+                exec_block(*block);
+              }
+              // Still readable if its own store flushed it: the graveyard
+              // keeps it alive until the next lookup() morphs.
+              executed += block->len;
               continue;
             }
           }
@@ -154,30 +144,6 @@ class Executor {
  private:
   using Op = isa::Op;
 
-  // Detected, not declared: kBlockCost hooks that additionally expose the
-  // four-method jit cost interface (the measurement board — see
-  // board/hooks.h) may ride Dispatch::kJit with native static-cost
-  // retirement and batched residual replay.
-  static constexpr bool kHasJitCostInterface =
-      requires(Hooks& h, const JitCapture* c) {
-        h.jit_counts();
-        h.jit_cycles();
-        h.jit_replay(c, std::size_t{});
-        h.jit_advance_activity(std::uint64_t{});
-      };
-
-  // Executes `first` and keeps dispatching successor blocks until a
-  // transition fails to resolve, the next block would exceed `budget`,
-  // control leaves block dispatch (delay-slot CTI, halt, no block at the
-  // target), or a fault unwinds. Returns the number of instructions
-  // retired. `budget` is exact: the loop never retires past it, the outer
-  // loop single-steps the remainder.
-  //
-  // With Chained, transitions follow memoized exit edges — chain links or
-  // the branch-target cache — and re-enter BlockCache::lookup() only on
-  // unresolved edges (memoizing the result). Without, every transition is a
-  // plain lookup(): the pre-chaining dispatch loop, kept in this one
-  // function so the A/B pair differs only in edge resolution.
   // kBlockCost hooks own a per-block cost profile: a block may only enter
   // whole-block dispatch once the hook has built (and accepted) its profile.
   // Blocks the hook refuses — e.g. containing instructions whose retire
@@ -187,61 +153,6 @@ class Executor {
       return hooks_.ensure_block_cost(block);
     } else {
       return true;
-    }
-  }
-
-  template <bool Chained>
-  std::uint64_t run_blocks(Block& first, std::uint64_t budget) {
-    Block* block = &first;
-    std::uint64_t executed = 0;
-    for (;;) {
-      if constexpr (Hooks::kBlockCost) {
-        exec_block_cost(*block);
-      } else {
-        exec_block(*block);
-      }
-      executed += block->len;
-      Block* const prev = block;
-      if (prev->ends_with_cti && st_.npc != st_.pc + 4) {
-        // True delay slot (npc redirected): single-step it. It may fault,
-        // halt, or itself be a CTI — only a sequential pc/npc pair may
-        // continue the chain.
-        if (executed >= budget) return executed;
-        step();
-        ++executed;
-        if (st_.halted || st_.npc != st_.pc + 4) return executed;
-      }
-      const std::uint32_t pc = st_.pc;
-      Block* next;
-      if constexpr (Chained) {
-        next = prev->chain_next(pc);
-        if (next != nullptr) {
-          block_cache_->count_chain_hit();
-        } else {
-          if (prev->indirect_exit) next = block_cache_->btc_lookup(pc);
-          if (next == nullptr) {
-            // A store inside prev's own trace may have flushed it; the
-            // fallback lookup can morph and thereby drain the graveyard
-            // keeping a dead prev alive, so decide link eligibility first.
-            const bool prev_live = !prev->dead;
-            next = block_cache_->lookup_fallback(pc);
-            if (next == nullptr) return executed;
-            if (prev_live) {
-              if (prev->indirect_exit) {
-                block_cache_->btc_insert(pc, next);
-              } else {
-                block_cache_->install_link(*prev, pc, *next);
-              }
-            }
-          }
-        }
-      } else {
-        next = block_cache_->lookup(pc);
-        if (next == nullptr) return executed;
-      }
-      if (next->len > budget - executed) return executed;
-      if (!block_enterable(*next)) return executed;
-      block = next;
     }
   }
 
@@ -313,102 +224,6 @@ class Executor {
         }
         std::rethrow_exception(jr.take_exception());
       }
-      executed += budget - remaining;
-    }
-    return executed;
-  }
-
-  // Dispatch::kJit host loop for kBlockCost hooks (the measurement board).
-  // Native code settles the per-op retire counters and the profile's static
-  // base cycles at block exits and appends the tagged dynamic-residual
-  // operand pairs into the runtime's capture buffer; after every native
-  // entry this loop drains the buffer through the hook's residual-replay
-  // kernel — in program order, so floating-point energy accumulation
-  // matches the interpreted paths bit-for-bit — and advances switching
-  // activity once over the whole batch (the activity stream is a pure
-  // function of cumulative advanced cycles, so batching is exact).
-  std::uint64_t run_jit_cost(JitRuntime& jr, std::uint64_t max_insns) {
-    jr.configure_cost(&st_, hooks_.jit_counts(), hooks_.jit_cycles());
-    std::uint64_t executed = 0;
-    while (!st_.halted && executed < max_insns) {
-      const std::uint32_t pc = st_.pc;
-      if (st_.npc != pc + 4) {  // delay slot: single-step
-        step();
-        ++executed;
-        continue;
-      }
-      Block* const prev = jr.last_block();
-      Block* block = block_cache_->lookup(pc);
-      if (block == nullptr) {
-        step();
-        ++executed;
-        continue;
-      }
-      const std::uint64_t budget = max_insns - executed;
-      if (block->len > budget) {
-        step();
-        ++executed;
-        continue;
-      }
-      // Cost profile before compilation: the compiler bakes the profile's
-      // base cycles and residual map into the emitted code, so a block may
-      // only compile once its profile is ready (and accepted).
-      if (!block_enterable(*block)) {
-        step();
-        ++executed;
-        continue;
-      }
-      if (jr.ensure_compiled(*block) != Block::JitState::kCompiled) {
-        exec_block_cost(*block);  // rejected (FPU): kBlock fallback
-        executed += block->len;
-        continue;
-      }
-      // Cost-mode blocks never fold delay slots, so register-indirect exits
-      // always end in a delay-pending state handled by the host; only
-      // rel32-patchable static edges chain natively here.
-      if (prev != nullptr && prev->jit_state == Block::JitState::kCompiled &&
-          !prev->indirect_exit) {
-        jr.patch_transition(*prev->jit_meta, pc, *block);
-      }
-      const std::uint64_t mark = *hooks_.jit_cycles();
-      const std::uint64_t remaining = jr.enter(*block, budget);
-      if (jr.faulted()) {
-        const auto [meta, idx] = jr.take_fault();
-        const Block* fb = meta->block;
-        const auto caps = jr.drain_captures();
-        // Captures appended by the faulting block's completed prefix belong
-        // to the per-instruction prefix retire below, not the batch replay:
-        // the faulting block settled neither counts nor base cycles (both
-        // are exit-batched), so its prefix retires through the full per-op
-        // hook, exactly as exec_block_cost reconciles.
-        std::size_t prefix = 0;
-        for (const auto& r : fb->cost.residuals) {
-          if (r.index >= idx) break;
-          ++prefix;
-        }
-        hooks_.jit_replay(caps.data(), caps.size() - prefix);
-        hooks_.jit_advance_activity(mark);
-        executed += (budget - remaining) - (meta->len - idx);
-        st_.pc = meta->start + 4 * idx;
-        st_.npc = st_.pc + 4;
-        st_.instret += idx;
-        const JitCapture* tail = caps.data() + (caps.size() - prefix);
-        std::size_t cursor = 0;
-        auto rit = fb->cost.residuals.begin();
-        for (std::uint32_t j = 0; j < idx; ++j) {
-          CapturedOp cap{};
-          if (rit != fb->cost.residuals.end() && rit->index == j) {
-            cap = CapturedOp{tail[cursor].a, tail[cursor].b};
-            ++cursor;
-            ++rit;
-          }
-          hooks_.on_retire_captured(static_cast<Op>(fb->code[j].op), cap);
-        }
-        std::rethrow_exception(jr.take_exception());
-      }
-      const auto caps = jr.drain_captures();
-      hooks_.jit_replay(caps.data(), caps.size());
-      hooks_.jit_advance_activity(mark);
       executed += budget - remaining;
     }
     return executed;
@@ -1072,7 +887,6 @@ class Executor {
   std::uint32_t cache_base_ = 0;
   std::span<const isa::DecodedInsn> cache_;
   BlockCache* block_cache_ = nullptr;
-  bool chain_ = true;
   bool block_dispatch_ = true;
   bool jit_ = false;
   // Per-block retire-operand capture buffer (kBlockCost dispatch only);

@@ -32,11 +32,7 @@ class Iss {
     // image; kStep only opts out of whole-block dispatch. This keeps the
     // stepping reference valid on self-modifying programs.
     exec.set_block_cache(platform_.block_cache());
-    exec.set_block_dispatch(dispatch != Dispatch::kStep);
-    // kJit chains too: native block-to-block patching is the jit's chaining,
-    // and the host loop falls back to chained kBlock for rejected blocks.
-    exec.set_chaining(dispatch == Dispatch::kBlock || dispatch == Dispatch::kJit);
-    exec.set_jit(dispatch == Dispatch::kJit);
+    exec.set_dispatch(dispatch);
     exec.run(max_insns);
     RunResult result;
     result.halted = platform_.cpu().halted;
@@ -97,9 +93,7 @@ class FunctionalSim {
     Executor<NullHooks> exec(platform_.cpu(), platform_.bus(), hooks);
     exec.set_decode_cache(platform_.code_base(), platform_.decode_cache());
     exec.set_block_cache(platform_.block_cache());
-    exec.set_block_dispatch(dispatch != Dispatch::kStep);
-    exec.set_chaining(dispatch == Dispatch::kBlock || dispatch == Dispatch::kJit);
-    exec.set_jit(dispatch == Dispatch::kJit);
+    exec.set_dispatch(dispatch);
     exec.run(max_insns);
     RunResult result;
     result.halted = platform_.cpu().halted;

@@ -17,7 +17,6 @@
 // helper is entered at the SysV-required alignment.
 #include "sim/jit.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <type_traits>
@@ -35,9 +34,6 @@ namespace nfp::sim {
 namespace {
 [[maybe_unused]] bool g_jit_forced_off = false;
 [[maybe_unused]] bool g_jit_inline_btc = true;
-// Cost-mode residual run buffer: far larger than kMaxBlockLen, so a block
-// whose prologue capacity check bails always fits after the host drains.
-[[maybe_unused]] constexpr std::size_t kCaptureSlots = 8192;
 }  // namespace
 
 void jit_set_forced_off(bool off) { g_jit_forced_off = off; }
@@ -58,10 +54,7 @@ JitRuntime::JitRuntime(Bus& bus, BlockCache& cache) : bus_(bus), cache_(cache) {
 JitRuntime::~JitRuntime() = default;
 bool JitRuntime::ok() const { return false; }
 void JitRuntime::configure(CpuState*, std::uint64_t*) {}
-void JitRuntime::configure_cost(CpuState*, std::uint64_t*, std::uint64_t*) {}
-std::span<const JitCapture> JitRuntime::drain_captures() { return {}; }
 void JitRuntime::btc_insert(std::uint32_t, Block&) {}
-void JitRuntime::append_helper_capture(const Block&, std::uint32_t) {}
 Block::JitState JitRuntime::ensure_compiled(Block& b) {
   b.jit_state = Block::JitState::kRejected;
   return b.jit_state;
@@ -100,12 +93,8 @@ static_assert(offsetof(JitRt, touched) == 16);
 static_assert(offsetof(JitRt, counts) == 24);
 static_assert(offsetof(JitRt, cur_meta) == 32);
 static_assert(offsetof(JitRt, fault_idx) == 40);
-static_assert(offsetof(JitRt, cap_ptr) == 56);
-static_assert(offsetof(JitRt, cap_end) == 64);
-static_assert(offsetof(JitRt, cost_cycles) == 72);
-static_assert(offsetof(JitRt, btc) == 80);
-static_assert(offsetof(JitRt, btc_hits) == 88);
-static_assert(sizeof(JitCapture) == 16);
+static_assert(offsetof(JitRt, btc) == 56);
+static_assert(offsetof(JitRt, btc_hits) == 64);
 static_assert(sizeof(JitBtcSlot) == 16);
 
 namespace {
@@ -143,18 +132,13 @@ extern "C" std::uint64_t nfp_jit_exec_insn(JitRt* rt, std::uint32_t idx) {
   CpuState& st = *rt->cpu;
   JitRuntime* jr = rt->owner;
   jr->count_helper_exec();
-  // The scratch capture array is always handed to the handler: in cost mode
-  // the cache's capture variants dereference it, and on success the capture
-  // of a residual-flagged record is forwarded into the run buffer (the
-  // handler writes morph-exact operands — e.g. post-writeback for divides).
   MorphCtx ctx{st, jr->bus(), jr->cache(), b->start, b->code.data(),
-               st.instret, jr->helper_capture()};
+               st.instret};
   const std::uint64_t saved = st.instret;
   try {
     const MorphInsn& m = b->code[idx];
     m.fn(m, ctx);
     st.instret = saved;
-    if (rt->cap_ptr != nullptr) jr->append_helper_capture(*b, idx);
     return 0;
   } catch (...) {
     st.instret = saved;
@@ -189,11 +173,8 @@ constexpr std::int32_t kOffInstret = 280;
 constexpr std::int32_t kRtTouched = 16;
 constexpr std::int32_t kRtCounts = 24;
 constexpr std::int32_t kRtCurMeta = 32;
-constexpr std::int32_t kRtCapPtr = 56;
-constexpr std::int32_t kRtCapEnd = 64;
-constexpr std::int32_t kRtCostCycles = 72;
-constexpr std::int32_t kRtBtc = 80;
-constexpr std::int32_t kRtBtcHits = 88;
+constexpr std::int32_t kRtBtc = 56;
+constexpr std::int32_t kRtBtcHits = 64;
 
 x::Mem reg_m(std::uint32_t r) {
   return x::ptr(kCpu, 4 * static_cast<std::int32_t>(r));
@@ -219,11 +200,10 @@ bool delay_foldable(Op op) {
 class BlockCompiler {
  public:
   BlockCompiler(BlockCache& cache, const Block& b, const JitBlockMeta* meta,
-                bool counted, bool cost, bool inline_btc)
+                bool counted, bool inline_btc)
       : b_(b),
         meta_(meta),
         counted_(counted),
-        cost_(cost),
         inline_btc_(inline_btc),
         dcache_(cache.dcache()),
         word0_((b.start - cache.code_base()) / 4),
@@ -261,54 +241,10 @@ class BlockCompiler {
   void emit_delayed_exit(std::uint32_t cti_pc, std::uint32_t target, bool fold,
                          const isa::DecodedInsn* delay);
   void emit_static_exit(std::uint32_t exit_pc, std::uint32_t retired,
-                        int extra_op, int cti_taken = -1);
+                        int extra_op);
   void emit_counts(int extra_op);
   void emit_helper_inline(std::uint32_t i);
   void emit_ea(const isa::DecodedInsn& d);
-
-  // ---- cost-mode residual captures ---------------------------------------
-  // True when record i carries a dynamic residual (operand pair replayed by
-  // the hooks' apply_residual at drain time).
-  bool residual_at(std::uint32_t i) const {
-    return cost_ && i < residual_.size() && residual_[i];
-  }
-  void emit_capture_tail(Gp cursor, std::uint32_t op, std::uint32_t idx) {
-    e_.mov_mi(x::ptr(cursor, 8), op);
-    e_.mov_mi(x::ptr(cursor, 12), idx);
-    e_.add_mi64(x::ptr(kRt, kRtCapPtr), 16);
-  }
-  // Appends {%ecx, %edx} — the ALU operand-pair shape.
-  void emit_capture_pair(std::uint32_t op, std::uint32_t idx) {
-    e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtCapPtr));
-    e_.mov_mr(x::ptr(Gp::rax, 0), Gp::rcx);
-    e_.mov_mr(x::ptr(Gp::rax, 4), Gp::rdx);
-    emit_capture_tail(Gp::rax, op, idx);
-  }
-  // Appends a compile-time-constant pair (sethi/nop, CTI taken flags).
-  void emit_capture_const(std::uint32_t a, std::uint32_t b, std::uint32_t op,
-                          std::uint32_t idx) {
-    e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtCapPtr));
-    e_.mov_mi(x::ptr(Gp::rax, 0), a);
-    e_.mov_mi(x::ptr(Gp::rax, 4), b);
-    emit_capture_tail(Gp::rax, op, idx);
-  }
-  // Appends {%ecx (ea), %eax (data)} — the load/store fast-path shape
-  // (%rdx is the cursor because %rax/%ecx hold the pair).
-  void emit_capture_mem(std::uint32_t op, std::uint32_t idx) {
-    e_.mov_rm64(Gp::rdx, x::ptr(kRt, kRtCapPtr));
-    e_.mov_mr(x::ptr(Gp::rdx, 0), Gp::rcx);
-    e_.mov_mr(x::ptr(Gp::rdx, 4), Gp::rax);
-    emit_capture_tail(Gp::rdx, op, idx);
-  }
-  void emit_capture_pre(const isa::DecodedInsn& d, std::uint32_t i);
-  // Appends the CTI's {taken, 0} capture on an exit path.
-  void emit_capture_cti(std::uint32_t taken) {
-    if (!residual_at(b_.len - 1)) return;
-    emit_capture_const(
-        taken, 0,
-        static_cast<std::uint32_t>(dcache_[word0_ + b_.len - 1].op),
-        b_.len - 1);
-  }
 
   void store_rd(const isa::DecodedInsn& d) {
     if (d.rd != 0) e_.mov_mr(reg_m(d.rd), Gp::rax);
@@ -332,9 +268,7 @@ class BlockCompiler {
   const Block& b_;
   const JitBlockMeta* meta_;
   bool counted_;
-  bool cost_;
   bool inline_btc_;
-  std::vector<bool> residual_;  // per-record residual flags (cost mode)
   const std::vector<isa::DecodedInsn>& dcache_;
   std::uint32_t word0_;
   std::uint32_t code_base_;
@@ -359,13 +293,6 @@ bool BlockCompiler::compile() {
       return false;
     }
   }
-  if (cost_) {
-    // Cost mode bakes BlockCost into the emitted code; the host guarantees
-    // the profile is built (ensure_block_cost) before asking to compile.
-    if (b_.cost_state != BlockCostState::kReady) return false;
-    residual_.assign(b_.len, false);
-    for (const ResidualRef& r : b_.cost.residuals) residual_[r.index] = true;
-  }
 
   const std::uint32_t len = b_.len;
   // Prologue: budget check (bail leaves the budget untouched and
@@ -374,16 +301,6 @@ bool BlockCompiler::compile() {
   // running one and claim its retirement from the budget.
   e_.cmp_ri64(kBudget, static_cast<std::int32_t>(len));
   e_.jcc(Cc::kB, bail_);
-  if (cost_ && !b_.cost.residuals.empty()) {
-    // Residual-buffer capacity check: bail (no state change) when this
-    // block's captures would not fit; the host drains after every enter, so
-    // re-entry always finds room.
-    e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtCapPtr));
-    e_.add_ri64(Gp::rax,
-                static_cast<std::int32_t>(16 * b_.cost.residuals.size()));
-    e_.cmp_rm64(Gp::rax, x::ptr(kRt, kRtCapEnd));
-    e_.jcc(Cc::kA, bail_);
-  }
   e_.mov_ri64(Gp::rax, reinterpret_cast<std::uint64_t>(meta_));
   e_.mov_mr64(x::ptr(kRt, kRtCurMeta), Gp::rax);
   e_.sub_ri64(kBudget, static_cast<std::int32_t>(len));
@@ -441,29 +358,17 @@ void BlockCompiler::emit_ea(const isa::DecodedInsn& d) {
 }
 
 void BlockCompiler::emit_counts(int extra_op) {
-  if (counted_) {
-    e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtCounts));
-    for (const BlockOpCount& p : b_.profile) {
-      e_.add_mi64(x::ptr(Gp::rax, 8 * static_cast<std::int32_t>(p.op)),
-                  static_cast<std::int32_t>(p.count));
-    }
-    if (extra_op >= 0) e_.add_mi64(x::ptr(Gp::rax, 8 * extra_op), 1);
+  if (!counted_) return;
+  e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtCounts));
+  for (const BlockOpCount& p : b_.profile) {
+    e_.add_mi64(x::ptr(Gp::rax, 8 * static_cast<std::int32_t>(p.op)),
+                static_cast<std::int32_t>(p.count));
   }
-  if (cost_ && b_.cost.base_cycles != 0) {
-    // Static cost retirement: one add of the block's residual-free cycle
-    // base (residual ops contribute their cycles at drain-time replay).
-    e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtCostCycles));
-    e_.add_mi64(x::ptr(Gp::rax, 0),
-                static_cast<std::int32_t>(b_.cost.base_cycles));
-  }
+  if (extra_op >= 0) e_.add_mi64(x::ptr(Gp::rax, 8 * extra_op), 1);
 }
 
 void BlockCompiler::emit_static_exit(std::uint32_t exit_pc,
-                                     std::uint32_t retired, int extra_op,
-                                     int cti_taken) {
-  if (cti_taken >= 0) {
-    emit_capture_cti(static_cast<std::uint32_t>(cti_taken));
-  }
+                                     std::uint32_t retired, int extra_op) {
   e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(retired));
   emit_counts(extra_op);
   JitExit exit;
@@ -489,10 +394,8 @@ void BlockCompiler::emit_delayed_exit(std::uint32_t cti_pc,
     emit_static_exit(target, b_.len + 1, static_cast<int>(delay->op));
     e_.bind(pending);
   }
-  // Budget exhausted (or unfoldable delay, or cost mode): the interpreter's
-  // post-CTI state, pc at the delay slot with npc redirected; the host
-  // single-steps.
-  emit_capture_cti(1);  // delayed exits are always taken paths
+  // Budget exhausted (or unfoldable delay): the interpreter's post-CTI
+  // state, pc at the delay slot with npc redirected; the host single-steps.
   e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(b_.len));
   emit_counts(-1);
   e_.mov_mi(x::ptr(kCpu, kOffPc), cti_pc + 4);
@@ -554,9 +457,7 @@ void BlockCompiler::emit_cti(const isa::DecodedInsn& d) {
   const std::uint32_t didx = word0_ + b_.len;
   const isa::DecodedInsn* delay =
       didx < dcache_.size() ? &dcache_[didx] : nullptr;
-  // Cost mode never folds: the delay slot is outside the block's cost
-  // profile, so it single-steps on the host like the interpreter's shape.
-  const bool fold = !cost_ && delay != nullptr && delay_foldable(delay->op);
+  const bool fold = delay != nullptr && delay_foldable(delay->op);
 
   switch (d.op) {
     case Op::kCall: {
@@ -570,16 +471,14 @@ void BlockCompiler::emit_cti(const isa::DecodedInsn& d) {
       const std::uint32_t target = cti_pc + static_cast<std::uint32_t>(d.imm);
       if (d.cond == 8) {  // always
         if (d.annul) {
-          // Annulled delay: skip it (a taken branch for the cost model).
-          emit_static_exit(target, b_.len, -1, /*cti_taken=*/1);
+          emit_static_exit(target, b_.len, -1);  // annulled delay: skip it
         } else {
           emit_delayed_exit(cti_pc, target, fold, delay);
         }
         return;
       }
       if (d.cond == 0) {  // never
-        emit_static_exit(d.annul ? cti_pc + 8 : cti_pc + 4, b_.len, -1,
-                         /*cti_taken=*/0);
+        emit_static_exit(d.annul ? cti_pc + 8 : cti_pc + 4, b_.len, -1);
         return;
       }
       x::Label taken;
@@ -589,8 +488,7 @@ void BlockCompiler::emit_cti(const isa::DecodedInsn& d) {
         emit_fcc_test(d.cond, taken);
       }
       // Untaken falls through (annul skips the delay slot entirely).
-      emit_static_exit(d.annul ? cti_pc + 8 : cti_pc + 4, b_.len, -1,
-                       /*cti_taken=*/0);
+      emit_static_exit(d.annul ? cti_pc + 8 : cti_pc + 4, b_.len, -1);
       e_.bind(taken);
       emit_delayed_exit(cti_pc, target, fold, delay);
       return;
@@ -658,7 +556,6 @@ void BlockCompiler::emit_jmpl(const isa::DecodedInsn& d, std::uint32_t cti_pc,
     }
     e_.bind(pending);
   }
-  emit_capture_cti(1);  // jmpl is unconditionally taken
   e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(b_.len));
   emit_counts(-1);
   e_.mov_mi(x::ptr(kCpu, kOffPc), cti_pc + 4);
@@ -719,10 +616,6 @@ void BlockCompiler::emit_load(const isa::DecodedInsn& d, std::uint32_t i) {
       break;
     }
   }
-  // Cost capture {ea, data}: %ecx still holds ea, %eax the (last) loaded
-  // word — morph-exact. The helper path resumes past this (it appends via
-  // append_helper_capture instead).
-  if (residual_at(i)) emit_capture_mem(static_cast<std::uint32_t>(d.op), i);
   e_.bind(c.resume);
 }
 
@@ -784,63 +677,10 @@ void BlockCompiler::emit_store(const isa::DecodedInsn& d, std::uint32_t i) {
   e_.shr_ri(Gp::rdx, 12);
   e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtTouched));
   e_.mov_mi8(x::ptr_idx(Gp::rax, Gp::rdx), 1);
-  // Cost capture {ea, masked data}: %ecx still holds ea; reload the store
-  // data and mask it to the access width (h_store's capture shape, with
-  // std capturing the second word).
-  if (residual_at(i)) {
-    e_.mov_rm(Gp::rax, reg_m(d.op == Op::kStd ? d.rd + 1u : d.rd));
-    if (d.op == Op::kStb) e_.and_ri(Gp::rax, 0xFF);
-    if (d.op == Op::kSth) e_.and_ri(Gp::rax, 0xFFFF);
-    emit_capture_mem(static_cast<std::uint32_t>(d.op), i);
-  }
   e_.bind(c.resume);
 }
 
-// Cost capture for the statically non-faulting ALU class (exactly the
-// delay-foldable set): the operand pair as the morph capture handlers see
-// it, pre-writeback (see block_cache.cpp). Loads/stores capture at the end
-// of their fast path; helper-routed records via append_helper_capture; the
-// CTI at its exits.
-void BlockCompiler::emit_capture_pre(const isa::DecodedInsn& d,
-                                     std::uint32_t i) {
-  switch (d.op) {
-    case Op::kNop:
-      e_.xor_rr(Gp::rcx, Gp::rcx);
-      e_.xor_rr(Gp::rdx, Gp::rdx);
-      break;
-    case Op::kSethi:
-      e_.xor_rr(Gp::rcx, Gp::rcx);
-      e_.mov_ri(Gp::rdx, static_cast<std::uint32_t>(d.imm));
-      break;
-    case Op::kRdy:
-      e_.mov_rm(Gp::rcx, x::ptr(kCpu, kOffY));
-      e_.xor_rr(Gp::rdx, Gp::rdx);
-      break;
-    case Op::kSll:
-    case Op::kSrl:
-    case Op::kSra:  // {a, shift count mod 32}
-      e_.mov_rm(Gp::rcx, reg_m(d.rs1));
-      if (d.has_imm) {
-        e_.mov_ri(Gp::rdx, static_cast<std::uint32_t>(d.imm) & 31);
-      } else {
-        e_.mov_rm(Gp::rdx, reg_m(d.rs2));
-        e_.and_ri(Gp::rdx, 31);
-      }
-      break;
-    default:  // add/sub/logic/mul/wry/save/restore: {r[rs1], op2}
-      e_.mov_rm(Gp::rcx, reg_m(d.rs1));
-      if (d.has_imm) {
-        e_.mov_ri(Gp::rdx, static_cast<std::uint32_t>(d.imm));
-      } else {
-        e_.mov_rm(Gp::rdx, reg_m(d.rs2));
-      }
-      break;
-  }
-  emit_capture_pair(static_cast<std::uint32_t>(d.op), i);
-}
-
 void BlockCompiler::emit_insn(const isa::DecodedInsn& d, std::uint32_t i) {
-  if (residual_at(i) && delay_foldable(d.op)) emit_capture_pre(d, i);
   switch (d.op) {
     case Op::kNop:
       return;
@@ -1149,52 +989,13 @@ bool JitRuntime::ok() const { return impl_ != nullptr; }
 
 void JitRuntime::configure(CpuState* cpu, std::uint64_t* counts) {
   // The counts adds are baked per block ("emit or not"); the pointer itself
-  // is loaded from JitRt at each exit, so only a null ↔ non-null change —
-  // or a flip out of cost mode — invalidates compiled code.
-  if (!metas_.empty() &&
-      (cost_mode_ || (counts == nullptr) != (rt_.counts == nullptr))) {
+  // is loaded from JitRt at each exit, so only a null ↔ non-null change
+  // invalidates compiled code.
+  if (!metas_.empty() && (counts == nullptr) != (rt_.counts == nullptr)) {
     reset_code();
   }
-  cost_mode_ = false;
   rt_.cpu = cpu;
   rt_.counts = counts;
-  rt_.cost_cycles = nullptr;
-  rt_.cap_ptr = nullptr;
-  rt_.cap_end = nullptr;
-}
-
-void JitRuntime::configure_cost(CpuState* cpu, std::uint64_t* counts,
-                                std::uint64_t* cycles) {
-  // Pointer values are loaded from JitRt at runtime, so rebinding to a
-  // fresh hooks instance keeps compiled code valid; only the functional →
-  // cost flip (captures and cycle adds baked per block) discards it.
-  if (!metas_.empty() && !cost_mode_) reset_code();
-  cost_mode_ = true;
-  rt_.cpu = cpu;
-  rt_.counts = counts;
-  rt_.cost_cycles = cycles;
-  if (capture_.empty()) capture_.resize(kCaptureSlots);
-  rt_.cap_ptr = capture_.data();
-  rt_.cap_end = capture_.data() + capture_.size();
-}
-
-std::span<const JitCapture> JitRuntime::drain_captures() {
-  if (capture_.empty()) return {};
-  const auto n = static_cast<std::size_t>(rt_.cap_ptr - capture_.data());
-  rt_.cap_ptr = capture_.data();
-  return {capture_.data(), n};
-}
-
-void JitRuntime::append_helper_capture(const Block& b, std::uint32_t idx) {
-  // Forward the handler's scratch capture for residual-flagged records only
-  // (the block prologue reserved buffer space for exactly those).
-  const auto& rs = b.cost.residuals;
-  const auto it = std::lower_bound(
-      rs.begin(), rs.end(), idx,
-      [](const ResidualRef& r, std::uint32_t i) { return r.index < i; });
-  if (it == rs.end() || it->index != idx) return;
-  *rt_.cap_ptr++ = JitCapture{helper_capture_[idx].a, helper_capture_[idx].b,
-                              static_cast<std::uint32_t>(it->op), idx};
 }
 
 void JitRuntime::btc_insert(std::uint32_t pc, Block& to) {
@@ -1229,8 +1030,8 @@ Block::JitState JitRuntime::ensure_compiled(Block& b) {
   meta->block = &b;
   meta->start = b.start;
   meta->len = b.len;
-  BlockCompiler comp(cache_, b, meta.get(), rt_.counts != nullptr, cost_mode_,
-                     !cost_mode_ && g_jit_inline_btc);
+  BlockCompiler comp(cache_, b, meta.get(), rt_.counts != nullptr,
+                     g_jit_inline_btc);
   std::uint32_t off = Impl::kFull;
   if (comp.compile()) off = impl_->commit(comp.emitter());
   if (off == Impl::kFull) {  // untemplatable block or arena exhausted

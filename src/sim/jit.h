@@ -19,14 +19,13 @@
 // kRejected); the executor runs them through exec_block, the per-block
 // fallback to kBlock. On non-x86-64 hosts (or when the executable arena
 // cannot be mapped) jit_available() is false and the executor stays on the
-// chained-block path entirely.
+// kBlock path entirely. Only batch-retire hooks (functional sim, counting
+// ISS) reach this tier; the board's cost hooks always run kBlock.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -60,17 +59,6 @@ void jit_set_forced_off(bool off);
 // Consulted at compile time; flip it only against a fresh runtime.
 void jit_set_inline_btc(bool on);
 
-// One dynamic-residual operand pair captured by cost-mode emitted code
-// (Hooks::kBlockCost — the measurement board). `a`/`b` mirror CapturedOp
-// for the record's op; `op`/`idx` identify it for replay and fault
-// reconciliation. Layout is baked into emitted appends.
-struct JitCapture {
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-  std::uint32_t op = 0;   // isa::Op of the captured record
-  std::uint32_t idx = 0;  // record index within its block
-};
-
 // One slot of the JIT-resident branch-target cache probed inline on
 // register-indirect exits (jmpl/retl). Direct-mapped on (pc >> 2); the
 // sentinel tag 1 can never match a 4-aligned target.
@@ -91,13 +79,8 @@ struct JitRt {
   std::uint32_t fault_idx = 0;      // +40  record index of a stashed fault
   std::uint32_t pad = 0;
   JitRuntime* owner = nullptr;      // +48
-  // Cost mode only: bump-pointer residual capture buffer (drained by the
-  // host after every enter) and the hooks' cycle accumulator.
-  JitCapture* cap_ptr = nullptr;        // +56  write cursor
-  const JitCapture* cap_end = nullptr;  // +64  one past the last slot
-  std::uint64_t* cost_cycles = nullptr; // +72  BoardHooks cycle counter
-  const JitBtcSlot* btc = nullptr;      // +80  inline BTC table base
-  std::uint64_t btc_hits = 0;           // +88  inline probe hits
+  const JitBtcSlot* btc = nullptr;  // +56  inline BTC table base
+  std::uint64_t btc_hits = 0;       // +64  inline probe hits
 };
 
 // One potentially-patchable block exit: a static successor pc, the rel32
@@ -144,18 +127,6 @@ class JitRuntime {
   // counts pointer discards all previously compiled code.
   void configure(CpuState* cpu, std::uint64_t* counts);
 
-  // Cost-tier configuration (Hooks::kBlockCost — the board): binds the
-  // per-op retire counters and the cycle accumulator the emitted code adds
-  // into, and switches the compiler into cost mode (residual capture
-  // appends, per-exit base-cycle adds, no delay folding). Switching between
-  // cost and functional mode discards all previously compiled code.
-  void configure_cost(CpuState* cpu, std::uint64_t* counts,
-                      std::uint64_t* cycles);
-
-  // Returns every residual capture appended since the last drain (program
-  // order) and resets the buffer. The host drains after every enter().
-  std::span<const JitCapture> drain_captures();
-
   // Compiles `b` on first sight (updating b.jit_state); later calls are a
   // cheap state read. Rejected blocks stay rejected.
   Block::JitState ensure_compiled(Block& b);
@@ -186,7 +157,7 @@ class JitRuntime {
   void btc_insert(std::uint32_t pc, Block& to);
   std::uint64_t inline_btc_hits() const { return rt_.btc_hits; }
 
-  // Invalidation hook (called from BlockCache::unlink): withdraw every
+  // Invalidation hook (called from BlockCache::invalidate): withdraw every
   // patched jump into and out of `b` so no native path can reach its stale
   // code or trust its stale edges.
   void on_block_death(Block& b);
@@ -210,12 +181,6 @@ class JitRuntime {
   // slow records).
   void count_helper_exec() { ++stats_.helper_exec; }
 
-  // Scratch CapturedOp array the generic slow path hands to the morph
-  // handler as MorphCtx::cap; in cost mode append_helper_capture forwards
-  // the handler's capture into the run buffer for residual-flagged records.
-  CapturedOp* helper_capture() { return helper_capture_.data(); }
-  void append_helper_capture(const Block& b, std::uint32_t idx);
-
   static constexpr std::uint32_t kNoFault = 0xFFFFFFFFu;
   static constexpr std::uint32_t kInlineBtcEntries = 512;
 
@@ -230,9 +195,6 @@ class JitRuntime {
   std::exception_ptr pending_;
   std::vector<std::unique_ptr<JitBlockMeta>> metas_;
   Stats stats_;
-  bool cost_mode_ = false;
-  std::vector<JitCapture> capture_;  // cost-mode residual run buffer
-  std::array<CapturedOp, BlockCache::kMaxBlockLen> helper_capture_{};
   std::vector<JitBtcSlot> btc_;
   std::unique_ptr<Impl> impl_;
 };

@@ -14,10 +14,10 @@
 // into locals before a single byte of target state is mutated. Any error
 // throws a StateError carrying a structured code and leaves the target
 // exactly as it was. Applying a snapshot drops every derived cache (morph
-// cache, JIT arena, branch-target caches, block cost profiles): a resumed
-// run re-warms them from scratch but retires bit-for-bit identically to the
-// uninterrupted run, which the fuzz oracle's snapshot leg and the directed
-// resume battery hold in place.
+// cache, JIT arena and its branch-target cache, block cost profiles): a
+// resumed run re-warms them from scratch but retires bit-for-bit identically
+// to the uninterrupted run, which the fuzz oracle's snapshot leg and the
+// directed resume battery hold in place.
 #pragma once
 
 #include <cstdint>
@@ -166,7 +166,7 @@ void append_platform_chunks(StateWriter& w, const Platform& p);
 // touched RAM, rewrites the dirty pages, reinstates CPU/UART state, rebuilds
 // the decode cache from the restored RAM image (so self-modified words stay
 // modified), and replaces the block cache — invalidating every morphed
-// trace, chain link, BTC entry, cost profile, and JIT translation. The new
+// trace, cost profile, and JIT translation. The new
 // cache inherits the old one's operand-capture flag.
 void apply_platform_chunks(const StateReader& r, Platform& p);
 

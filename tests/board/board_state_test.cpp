@@ -19,7 +19,6 @@
 #include "board/events.h"
 #include "sim/digest.h"
 #include "sim/iss.h"
-#include "sim/jit.h"
 #include "sim/memmap.h"
 #include "sim/state_io.h"
 
@@ -85,9 +84,7 @@ void expect_equal(const BoardObserved& got, const BoardObserved& want,
 }
 
 std::vector<sim::Dispatch> board_modes() {
-  // kJit is always in the list: on hosts without the jit the executor runs
-  // chained block dispatch under the kJit label, which must also resume.
-  return {sim::Dispatch::kStep, sim::Dispatch::kBlock, sim::Dispatch::kJit};
+  return {sim::Dispatch::kStep, sim::Dispatch::kBlock};
 }
 
 void resume_battery(const BoardConfig& cfg, const std::string& variant) {

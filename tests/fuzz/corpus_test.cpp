@@ -46,7 +46,6 @@ TEST(FuzzCorpus, ReplayExercisesSnapshotArm) {
     DiffConfig diff;
     diff.check_board = false;
     diff.check_jit = false;
-    diff.check_board_jit = false;
     diff.check_snapshot = true;
     diff.checkpoint_seed =
         sim::fnv1a64(entry.path.data(), entry.path.size()) ^ 0x5a5au;

@@ -1,5 +1,5 @@
 // The fuzz_smoke ctest tier: ~200 constrained-random programs, every chunk
-// mix, differentially executed across kStep / kBlockUnchained / kBlock with
+// mix, differentially executed across kStep / kBlock / kJit with
 // randomized mid-run budget stops. Fixed seeds keep the tier deterministic;
 // broader exploration belongs to the nfpfuzz CLI with fresh seeds.
 #include <gtest/gtest.h>

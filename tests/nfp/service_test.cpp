@@ -236,6 +236,14 @@ TEST(CampaignService, JsonLineEscapesErrorStrings) {
   EXPECT_NE(line.find("line\\nbreak\\\\slash"), std::string::npos);
 }
 
+TEST(CampaignService, BoardDispatchDefaultsToBlockEvenWhereJitRuns) {
+  EXPECT_EQ(CampaignService(fast_config(2)).board_dispatch(),
+            sim::Dispatch::kBlock);
+  ServiceConfig cfg = fast_config(2);
+  cfg.dispatch = sim::Dispatch::kJit;
+  EXPECT_EQ(CampaignService(cfg).board_dispatch(), sim::Dispatch::kBlock);
+}
+
 TEST(CampaignService, MatchesBatchCampaignOnKernelSets) {
   // The acceptance bar: real MVC + FSE kernel sets (both ABIs) through the
   // sharded, preempting service equal the batch Campaign loop bit-for-bit

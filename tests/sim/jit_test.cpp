@@ -8,7 +8,7 @@
 // very block (or chain) the emitted code is executing.
 //
 // Every test skips itself on hosts where jit_available() is false — there
-// the executor runs chained-block dispatch under the kJit label, which the
+// the executor runs block dispatch under the kJit label, which the
 // fallback test at the bottom still covers.
 #include "sim/jit.h"
 
@@ -578,7 +578,7 @@ loop:   ld [%g1], %o1
 
 TEST(Jit, ForcedOffFallsBackToBlock) {
   // With the jit forced unavailable, --dispatch=jit semantics must be
-  // bit-identical to chained block dispatch (this is also the only path a
+  // bit-identical to block dispatch (this is also the only path a
   // non-x86-64 host ever runs): no JitRuntime is created at all.
   const auto prog = asmkit::assemble(R"(
 _start: mov 0, %l0

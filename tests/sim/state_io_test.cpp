@@ -159,8 +159,7 @@ std::vector<std::uint64_t> random_stops(std::uint64_t total, int n,
 }
 
 std::vector<Dispatch> all_dispatch_modes() {
-  std::vector<Dispatch> modes = {Dispatch::kStep, Dispatch::kBlockUnchained,
-                                 Dispatch::kBlock};
+  std::vector<Dispatch> modes = {Dispatch::kStep, Dispatch::kBlock};
   if (jit_available()) modes.push_back(Dispatch::kJit);
   return modes;
 }
@@ -224,9 +223,10 @@ TEST(StateIoResume, PendingDelaySlotSnapshot) {
 }
 
 TEST(StateIoResume, MidChainSnapshot) {
-  // Under chained block dispatch the loop body chains to itself after the
-  // first iteration; stops beyond that land mid-chain. Resume through a
-  // chain-hot stop, continue chained, and require the exact final state.
+  // Under block dispatch the loop body re-enters itself block after block;
+  // stops beyond the first iteration land between or inside warm blocks.
+  // Resume through such a stop, continue under block dispatch, and require
+  // the exact final state.
   const auto prog = work_program(200);
   const Observed straight = run_straight(prog, Dispatch::kBlock);
   ASSERT_TRUE(straight.halted);

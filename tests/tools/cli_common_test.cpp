@@ -2,7 +2,7 @@
 // every value flag must accept both "--flag V" and "--flag=V", an empty
 // inline value ("--flag=") must be a usage error rather than an empty
 // operand, and the --name/--no-name toggle pairs must only match their own
-// exact spellings (--board must not swallow --board-jit). These are the
+// exact spellings (--board must not swallow --board-step). These are the
 // parsers behind nfpfuzz's corpus-replay options (--corpus-dir, --seed,
 // --snapshot) and nfpc's snapshot path (--save-state/--load-state).
 #include "cli_common.h"
@@ -107,9 +107,10 @@ TEST(CliCommon, BoolFlagPositiveAndNegative) {
 
 TEST(CliCommon, BoolFlagExactSpellingOnly) {
   bool value = true;
-  // --board must not swallow --board-jit (or its negation).
-  EXPECT_FALSE(bool_flag("--board-jit", "--board", value));
-  EXPECT_FALSE(bool_flag("--no-board-jit", "--board", value));
+  // --board must not swallow a longer flag sharing its prefix (or its
+  // negation).
+  EXPECT_FALSE(bool_flag("--board-step", "--board", value));
+  EXPECT_FALSE(bool_flag("--no-board-step", "--board", value));
   EXPECT_FALSE(bool_flag("--boardx", "--board", value));
   EXPECT_FALSE(bool_flag("--board=1", "--board", value));
   EXPECT_TRUE(value);  // untouched on non-match
@@ -157,10 +158,16 @@ TEST(CliCommon, ParseLoopBoundZeroNeedsAllowZero) {
 
 TEST(CliCommon, DispatchNamesRoundTrip) {
   for (const sim::Dispatch d :
-       {sim::Dispatch::kStep, sim::Dispatch::kBlock,
-        sim::Dispatch::kBlockUnchained, sim::Dispatch::kJit}) {
+       {sim::Dispatch::kStep, sim::Dispatch::kBlock, sim::Dispatch::kJit}) {
     EXPECT_EQ(parse_dispatch(dispatch_name(d), "test"), d);
   }
+}
+
+TEST(CliCommon, RemovedDispatchModeIsUsageError) {
+  // A retired mode name is rejected like any unknown mode, with the usage
+  // exit status.
+  EXPECT_EXIT(parse_dispatch("block-unchained", "test"),
+              ::testing::ExitedWithCode(2), "unknown dispatch mode");
 }
 
 }  // namespace

@@ -14,21 +14,17 @@
 //                       events and time-proxy read board-side counters, so
 //                       they require --board
 //     --counts          print per-category instruction counts
-//     --dispatch=MODE   simulator dispatch: block (superblock morph cache
-//                       with chaining, default), block-unchained (morph
-//                       cache, every transition through lookup), jit
-//                       (x86-64 template JIT above the morph cache; falls
-//                       back to block on unsupported hosts), or step
-//                       (per-instruction switch); applies to the ISS run
-//                       and to the --board run (board accounting is
-//                       bit-identical across modes; under jit the board
-//                       runs cost-mode native code — static base cycles
-//                       retire inline, dynamic residuals are captured and
-//                       replayed in batch)
+//     --dispatch=MODE   simulator dispatch: block (superblock morph cache,
+//                       default), jit (x86-64 template JIT above the morph
+//                       cache; falls back to block on unsupported hosts),
+//                       or step (per-instruction switch); applies to the
+//                       ISS run and to the --board run (board accounting
+//                       is bit-identical across modes; the board has no
+//                       jit tier, so under jit it runs block)
 //     --sim-stats       print the full BlockCache::Stats after the run
-//                       (morphs, flushes, chain/BTC counters); with
-//                       --board, also the board's cache and jit stats and
-//                       its PMU-style event-counter export (board/events.h)
+//                       (morphs, flushes); with --board, also the board's
+//                       cache stats and its PMU-style event-counter export
+//                       (board/events.h)
 //     --seed N          board/calibration noise seed for --estimate and
 //                       --board campaigns (also --seed=N)
 //     --max-insns N     ISS retirement budget (default 200M); with
@@ -63,6 +59,7 @@
 #include "cli_common.h"
 #include "mcc/compiler.h"
 #include "nfp/calibration.h"
+#include "nfp/error.h"
 #include "nfp/estimator.h"
 #include "nfp/report.h"
 #include "sim/iss.h"
@@ -89,18 +86,6 @@ void print_sim_stats(const nfp::sim::BlockCache* cache) {
               static_cast<unsigned long long>(s.insns_morphed));
   std::printf("  flushes          %llu\n",
               static_cast<unsigned long long>(s.flushes));
-  std::printf("  links_installed  %llu\n",
-              static_cast<unsigned long long>(s.links_installed));
-  std::printf("  links_severed    %llu\n",
-              static_cast<unsigned long long>(s.links_severed));
-  std::printf("  chain_hits       %llu\n",
-              static_cast<unsigned long long>(s.chain_hits));
-  std::printf("  btc_hits         %llu\n",
-              static_cast<unsigned long long>(s.btc_hits));
-  std::printf("  btc_misses       %llu\n",
-              static_cast<unsigned long long>(s.btc_misses));
-  std::printf("  lookup_fallbacks %llu\n",
-              static_cast<unsigned long long>(s.lookup_fallbacks));
 }
 
 void print_event_counters(const nfp::board::EventCounters& ev) {
@@ -204,7 +189,7 @@ int main(int argc, char** argv) {
                   "[--static-bounds] [--loop-bound ADDR=N]... "
                   "[--seed N] [--max-insns N] [--save-state FILE] "
                   "[--load-state FILE] "
-                  "[--dispatch=step|block|block-unchained|jit] file.c ...\n");
+                  "[--dispatch=step|block|jit] file.c ...\n");
       return 0;
     } else {
       sources.push_back(read_file(arg));
@@ -304,16 +289,6 @@ int main(int argc, char** argv) {
                     ? static_cast<double>(run.instret) / host_s * 1e-6
                     : 0.0,
                 host_s * 1e3);
-    if (dispatch == nfp::sim::Dispatch::kBlock &&
-        iss.platform().block_cache() != nullptr) {
-      const auto& s = iss.platform().block_cache()->stats();
-      std::printf("chain: %llu hits, %llu btc hits, %llu lookup fallbacks, "
-                  "%llu links\n",
-                  static_cast<unsigned long long>(s.chain_hits),
-                  static_cast<unsigned long long>(s.btc_hits),
-                  static_cast<unsigned long long>(s.lookup_fallbacks),
-                  static_cast<unsigned long long>(s.links_installed));
-    }
     if (dispatch == nfp::sim::Dispatch::kJit) {
       print_jit_stats(iss.platform().block_cache());
     }
@@ -378,14 +353,12 @@ int main(int argc, char** argv) {
                                    std::chrono::steady_clock::now() - b0)
                                    .count();
         std::printf("board dispatch %s: %.1f MIPS (%.3f ms host)\n",
-                    dispatch_name(dispatch),
+                    dispatch_name(
+                        nfp::board::Board::effective_dispatch(dispatch)),
                     board_s > 0.0 ? static_cast<double>(board_run.instret) /
                                         board_s * 1e-6
                                   : 0.0,
                     board_s * 1e3);
-        if (dispatch == nfp::sim::Dispatch::kJit) {
-          print_jit_stats(board.platform().block_cache());
-        }
         if (want_sim_stats) {
           print_sim_stats(board.platform().block_cache());
           print_event_counters(board.events());
@@ -398,12 +371,21 @@ int main(int argc, char** argv) {
       std::printf("estimated: %.4f ms, %.3f uJ\n", est.time_s * 1e3,
                   est.energy_nj * 1e-3);
       if (meas) {
-        std::printf("measured:  %.4f ms, %.3f uJ  (error: time %+.2f%%, "
-                    "energy %+.2f%%)\n",
+        // A measurement that quantises to zero (a program shorter than one
+        // clock tick) has no relative error: print the refusal slug.
+        const auto error = [](double estimated, double measured) {
+          const auto stats = nfp::model::error_stats({estimated}, {measured});
+          if (!stats.ok) return stats.refusal;
+          char buf[32];
+          std::snprintf(buf, sizeof buf, "%+.2f%%",
+                        stats.per_kernel[0] * 100.0);
+          return std::string(buf);
+        };
+        std::printf("measured:  %.4f ms, %.3f uJ  (error: time %s, "
+                    "energy %s)\n",
                     meas->time_s * 1e3, meas->energy_nj * 1e-3,
-                    (est.time_s - meas->time_s) / meas->time_s * 100.0,
-                    (est.energy_nj - meas->energy_nj) / meas->energy_nj *
-                        100.0);
+                    error(est.time_s, meas->time_s).c_str(),
+                    error(est.energy_nj, meas->energy_nj).c_str());
       }
     }
   } catch (const std::exception& e) {

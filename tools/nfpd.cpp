@@ -17,9 +17,9 @@
 //                       is checkpointed and re-queued each N instructions
 //                       (0 = run each job phase to completion; default 0)
 //     --max-insns N     per-job retirement budget (default 20e9)
-//     --dispatch MODE   board dispatch: step|block|block-unchained|jit
-//                       (default: jit where available, else block;
-//                       accounting is bit-identical across modes)
+//     --dispatch MODE   board dispatch: step|block (default block; jit is
+//                       accepted and runs block, since the board has no
+//                       jit tier; accounting is bit-identical across modes)
 //     --seed N          board noise seed (BoardConfig::seed)
 //     --estimate / --no-estimate
 //                       calibrate once and add estimates to every record
@@ -97,7 +97,6 @@ nfp::model::StaticBounds run_static_estimator(
 int main(int argc, char** argv) {
   nfp::model::ServiceConfig cfg;
   bool campaign = false;
-  bool have_dispatch = false;
   std::uint64_t slice = 0;
   std::uint64_t max_insns = nfp::board::Board::kDefaultMaxInsns;
   std::vector<std::string> kernel_paths;
@@ -117,9 +116,7 @@ int main(int argc, char** argv) {
       max_insns = std::strtoull(v, nullptr, 0);
     } else if (const char* v =
                    nfp::cli::flag_value("--dispatch", argc, argv, i, "nfpd")) {
-      cfg.dispatch = nfp::cli::effective_dispatch(
-          nfp::cli::parse_dispatch(v, "nfpd"), "nfpd");
-      have_dispatch = true;
+      cfg.dispatch = nfp::cli::parse_dispatch(v, "nfpd");
     } else if (const char* v =
                    nfp::cli::flag_value("--seed", argc, argv, i, "nfpd")) {
       cfg.board.seed = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
@@ -149,7 +146,6 @@ int main(int argc, char** argv) {
       kernel_paths.push_back(arg);
     }
   }
-  (void)have_dispatch;
   if (!campaign && kernel_paths.empty()) {
     std::fprintf(stderr, "nfpd: no jobs (use --campaign or pass .s files)\n");
     usage();

@@ -1,9 +1,8 @@
 // nfpfuzz — differential fuzzer for the simulator's dispatch modes.
 //
 // Generates constrained-random SPARC V8 programs (src/fuzz/generator.h) and
-// cross-checks full architectural state across Dispatch::kStep,
-// kBlockUnchained, kBlock and kJit (on hosts where the jit can run) at
-// randomized mid-run budget stops
+// cross-checks full architectural state across Dispatch::kStep, kBlock and
+// kJit (on hosts where the jit can run) at randomized mid-run budget stops
 // (src/fuzz/oracle.h). On divergence the program is ddmin-shrunk to a
 // minimal reproducer and written into the corpus directory as a `.s` file
 // ready to commit as a regression test.
@@ -26,12 +25,6 @@
 //     --jit / --no-jit  include Dispatch::kJit in the cross-check matrix
 //                       (default on; skipped automatically on hosts where
 //                       jit_available() is false)
-//     --board-jit / --no-board-jit
-//                       also cross-check the board under kStep vs kJit (the
-//                       cost-mode jit tier: native static-cost retirement +
-//                       batched residual replay), same bit-for-bit compare
-//                       as --board (default on; skipped when the jit is
-//                       unavailable)
 //     --snapshot / --no-snapshot
 //                       also run the save→restore→continue leg: serialize
 //                       the run at every budget stop, restore into a fresh
@@ -66,7 +59,6 @@ struct Options {
   bool shrink = true;
   bool board = true;
   bool jit = true;
-  bool board_jit = true;
   bool snapshot = true;
   std::string corpus_dir = "tests/fuzz/corpus";
 };
@@ -81,7 +73,7 @@ void usage() {
       "usage: nfpfuzz [--seed N] [--runs N] [--mix NAME|all] [--chunks N]\n"
       "               [--max-insns N] [--checkpoints N] [--shrink|--no-shrink]\n"
       "               [--board|--no-board] [--jit|--no-jit]\n"
-      "               [--board-jit|--no-board-jit] [--snapshot|--no-snapshot]\n"
+      "               [--snapshot|--no-snapshot]\n"
       "               [--corpus-dir DIR]\n");
 }
 
@@ -106,7 +98,6 @@ int main(int argc, char** argv) {
           static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
     } else if (nfp::cli::bool_flag(arg, "--shrink", opt.shrink) ||
                nfp::cli::bool_flag(arg, "--board", opt.board) ||
-               nfp::cli::bool_flag(arg, "--board-jit", opt.board_jit) ||
                nfp::cli::bool_flag(arg, "--jit", opt.jit) ||
                nfp::cli::bool_flag(arg, "--snapshot", opt.snapshot)) {
       // handled by bool_flag
@@ -147,7 +138,6 @@ int main(int argc, char** argv) {
     diff_cfg.checkpoint_seed = gen_cfg.seed;
     diff_cfg.check_board = opt.board;
     diff_cfg.check_jit = opt.jit;
-    diff_cfg.check_board_jit = opt.board_jit;
     diff_cfg.check_snapshot = opt.snapshot;
 
     nfp::fuzz::DiffReport report;
