@@ -8,6 +8,7 @@
 #include "mcc/compiler.h"
 #include "sim/iss.h"
 #include "sim/jit.h"
+#include "workloads/kernels.h"
 
 // Build provenance, stamped per entry: an unoptimized simulator makes every
 // MIPS number meaningless for before/after comparisons.
@@ -17,9 +18,11 @@
 
 namespace {
 
-void set_provenance(benchmark::State& state, const char* dispatch) {
+void set_provenance(benchmark::State& state, const char* dispatch,
+                    const std::string& kernel = {}) {
   state.SetLabel(std::string("dispatch=") + dispatch +
-                 " build=" NFP_BUILD_TYPE);
+                 " build=" NFP_BUILD_TYPE +
+                 (kernel.empty() ? "" : " kernel=" + kernel));
 }
 
 // Dispatch-speed workload: the mix() call keeps blocks short and makes
@@ -191,6 +194,64 @@ void BM_BoardCycleStepped_Step(benchmark::State& state) {
       [](auto& sim) { return sim.run(kBudget, nfp::sim::Dispatch::kStep); });
 }
 BENCHMARK(BM_BoardCycleStepped_Step)->Unit(benchmark::kMillisecond);
+
+// Board step-vs-block A/B on real campaign kernels (paper Sec. VI, at the
+// campaign's kernel size, float ABI): the synthetic loop above has no SDRAM
+// row traffic to speak of and no data-segment stores, so it misses much of
+// what the board phase of a campaign spends its time on.
+const nfp::model::KernelJob& campaign_kernel(bool fse) {
+  static const nfp::model::KernelJob mvc =
+      nfp::workloads::make_mvc_jobs(nfp::mcc::FloatAbi::kHard)[0];
+  static const nfp::model::KernelJob fse_job = [] {
+    nfp::workloads::FseKernelParams p;
+    p.count = 1;
+    return nfp::workloads::make_fse_jobs(nfp::mcc::FloatAbi::kHard, p)[0];
+  }();
+  return fse ? fse_job : mvc;
+}
+
+void run_board_kernel(benchmark::State& state, bool fse,
+                      nfp::sim::Dispatch dispatch) {
+  const nfp::model::KernelJob& job = campaign_kernel(fse);
+  set_provenance(state,
+                 dispatch == nfp::sim::Dispatch::kStep ? "step" : "block",
+                 job.name);
+  std::uint64_t insns = 0;
+  for (auto _ : state) {
+    nfp::board::Board board;
+    board.load(job.program);
+    for (const auto& [addr, bytes] : job.inputs) {
+      board.bus().write_block(addr, bytes.data(), bytes.size());
+    }
+    const auto result = board.run(nfp::board::Board::kDefaultMaxInsns,
+                                  dispatch);
+    if (!result.halted) state.SkipWithError("did not halt");
+    insns += result.instret;
+  }
+  state.counters["MIPS"] = benchmark::Counter(
+      static_cast<double>(insns) * 1e-6, benchmark::Counter::kIsRate);
+  state.SetItemsProcessed(static_cast<std::int64_t>(insns));
+}
+
+void BM_BoardMvcKernel(benchmark::State& state) {
+  run_board_kernel(state, false, nfp::sim::Dispatch::kBlock);
+}
+BENCHMARK(BM_BoardMvcKernel)->Unit(benchmark::kMillisecond);
+
+void BM_BoardMvcKernel_Step(benchmark::State& state) {
+  run_board_kernel(state, false, nfp::sim::Dispatch::kStep);
+}
+BENCHMARK(BM_BoardMvcKernel_Step)->Unit(benchmark::kMillisecond);
+
+void BM_BoardFseKernel(benchmark::State& state) {
+  run_board_kernel(state, true, nfp::sim::Dispatch::kBlock);
+}
+BENCHMARK(BM_BoardFseKernel)->Unit(benchmark::kMillisecond);
+
+void BM_BoardFseKernel_Step(benchmark::State& state) {
+  run_board_kernel(state, true, nfp::sim::Dispatch::kStep);
+}
+BENCHMARK(BM_BoardFseKernel_Step)->Unit(benchmark::kMillisecond);
 
 void BM_Compile(benchmark::State& state) {
   const auto abi = state.range(0) == 0 ? nfp::mcc::FloatAbi::kHard

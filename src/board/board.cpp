@@ -9,7 +9,9 @@
 namespace nfp::board {
 
 Board::Board(BoardConfig cfg)
-    : cfg_(cfg), hooks_(std::make_unique<BoardHooks>(cfg_, cost_)) {}
+    : cfg_(cfg),
+      residuals_(cfg_, cost_),
+      hooks_(std::make_unique<BoardHooks>(cfg_, cost_, residuals_)) {}
 
 void Board::load(const asmkit::Program& program) {
   platform_.load(program);
@@ -17,7 +19,7 @@ void Board::load(const asmkit::Program& program) {
   // every block the fresh cache morphs must use the capture handler
   // variants. load() rebuilt the cache, so no block pre-dates this.
   platform_.block_cache()->set_capture(true);
-  hooks_ = std::make_unique<BoardHooks>(cfg_, cost_);
+  hooks_ = std::make_unique<BoardHooks>(cfg_, cost_, residuals_);
 }
 
 void Board::step() {
@@ -165,7 +167,7 @@ void Board::restore_state(std::istream& in) {
   // Same post-load invariant as load(): every block the fresh cache morphs
   // must capture residual operands for block-cost replay.
   platform_.block_cache()->set_capture(true);
-  hooks_ = std::make_unique<BoardHooks>(cfg_, cost_);
+  hooks_ = std::make_unique<BoardHooks>(cfg_, cost_, residuals_);
   hooks_->import_state(s);
 }
 

@@ -93,6 +93,7 @@ class Board {
  private:
   BoardConfig cfg_;
   CostModel cost_;
+  ResidualTables residuals_;  // built once from cfg_ and cost_
   sim::Platform platform_;
   std::unique_ptr<BoardHooks> hooks_;
 };

@@ -14,7 +14,9 @@
 //    ResidualKind tag, and apply_residual() is the single kernel — shared
 //    verbatim by the stepping and block paths — that turns captured operands
 //    into the per-op cycle count and the energy correction relative to base
-//    (accumulated in residual_energy_).
+//    (accumulated in residual_energy_). Its energy corrections come from
+//    ResidualTables, precomputed once per Board for every toggle count, so
+//    the per-instruction work is a SWAR popcount and one table load.
 //
 // Because both dispatch modes retire every op through the same count
 // increment and the same apply_residual() call sequence in program order,
@@ -23,7 +25,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -69,6 +70,95 @@ struct BoardHooksState {
   std::uint64_t activity = 0;
 };
 
+// Population count of a 64-bit word. Inline SWAR rather than std::popcount:
+// without a POPCNT target flag the latter is a libgcc call, and the residual
+// kernel runs it for nearly every retired instruction.
+inline int popcount64(std::uint64_t v) {
+  v = v - ((v >> 1) & 0x5555555555555555ull);
+  v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+  v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<int>((v * 0x0101010101010101ull) >> 56);
+}
+
+// Operand-toggle count of an {x, y} word pair: popcount(x) + popcount(y)
+// in one 64-bit count, 0..64.
+inline int toggles(std::uint32_t x, std::uint32_t y) {
+  return popcount64((std::uint64_t{x} << 32) | y);
+}
+
+// The base energy a memory access pays before toggle modulation: the op's
+// base, plus an SDRAM row open, or the data-cache hit energy instead.
+enum class MemEnergy : std::uint8_t { kBase = 0, kRowMiss = 1, kCacheHit = 2 };
+
+inline double memory_energy(const OpCost& oc, const CostModel& cost,
+                            MemEnergy v) {
+  switch (v) {
+    case MemEnergy::kRowMiss:
+      return oc.energy_nj + cost.row_miss_energy_nj();
+    case MemEnergy::kCacheHit:
+      return cost.cache_hit_energy_nj();
+    default:
+      return oc.energy_nj;
+  }
+}
+
+// Energy corrections of the operand-toggle residuals, precomputed for every
+// toggle count k = 0..64 (BoardConfig and CostModel are fixed for a Board's
+// lifetime). Each entry is the exact IEEE expression the per-instruction
+// formula evaluates, so a table lookup adds the same double to
+// residual_energy_ as evaluating it in place:
+//  - operand-toggle ops: (leakage + dyn * tf[k]) - energy
+//  - memory ops, per base energy e_v (MemEnergy): e_v * tf[k] - energy
+// with tf[k] = 1 + amplitude * (k/64 - 0.5). Rows exist only for ops of the
+// matching kind, and only when variation is modelled at all.
+class ResidualTables {
+ public:
+  static constexpr std::size_t kRow = 65;  // toggle counts 0..64
+
+  ResidualTables(const BoardConfig& cfg, const CostModel& cost) {
+    if (!cfg.enable_variation) return;
+    std::array<double, kRow> tf;
+    for (std::size_t k = 0; k < kRow; ++k) {
+      const double t = static_cast<double>(k) / 64.0;  // 0..1
+      tf[k] = 1.0 + cfg.data_energy_amplitude * (t - 0.5);
+    }
+    for (std::size_t i = 0; i < isa::kOpCount; ++i) {
+      const OpCost& oc = cost.of(static_cast<isa::Op>(i));
+      if (oc.kind == sim::ResidualKind::kBranch) continue;
+      offset_[i] = static_cast<std::uint32_t>(rows_.size());
+      if (oc.kind == sim::ResidualKind::kMemory) {
+        for (const MemEnergy v :
+             {MemEnergy::kBase, MemEnergy::kRowMiss, MemEnergy::kCacheHit}) {
+          const double ev = memory_energy(oc, cost, v);
+          for (std::size_t k = 0; k < kRow; ++k) {
+            rows_.push_back(ev * tf[k] - oc.energy_nj);
+          }
+        }
+      } else {
+        // Leakage is occupancy-bound, not switching-bound: only the
+        // dynamic share of the base energy is modulated by toggling.
+        const double dyn = oc.energy_nj - oc.leakage_nj;
+        for (std::size_t k = 0; k < kRow; ++k) {
+          rows_.push_back((oc.leakage_nj + dyn * tf[k]) - oc.energy_nj);
+        }
+      }
+    }
+  }
+
+  // Correction row of an operand-toggle op, indexed by toggle count.
+  const double* toggle(isa::Op op) const {
+    return rows_.data() + offset_[static_cast<std::size_t>(op)];
+  }
+  // Correction row of a memory op paying base energy `v`.
+  const double* memory(isa::Op op, MemEnergy v) const {
+    return toggle(op) + kRow * static_cast<std::size_t>(v);
+  }
+
+ private:
+  std::array<std::uint32_t, isa::kOpCount> offset_{};
+  std::vector<double> rows_;
+};
+
 class BoardHooks {
  public:
   static constexpr bool kWantsDetail = true;
@@ -78,8 +168,10 @@ class BoardHooks {
   static constexpr bool kBatchRetire = false;
   static constexpr bool kBlockCost = true;
 
-  BoardHooks(const BoardConfig& cfg, const CostModel& cost)
-      : cfg_(cfg), cost_(cost) {
+  // `tables` must be built from the same `cfg` and `cost`.
+  BoardHooks(const BoardConfig& cfg, const CostModel& cost,
+             const ResidualTables& tables)
+      : cfg_(cfg), cost_(cost), tables_(tables) {
     if (cfg_.enable_cache) {
       const std::uint32_t lines = cfg_.cache_lines;
       tags_.assign(lines, kInvalidTag);
@@ -311,13 +403,14 @@ class BoardHooks {
     switch (oc.kind) {
       case sim::ResidualKind::kMemory: {
         // x = effective address, y = transferred data word.
-        double e = oc.energy_nj;
-        const std::uint32_t cyc = memory_cycles(op, x, oc, e);
+        MemEnergy v = MemEnergy::kBase;
+        const std::uint32_t cyc = memory_cycles(op, x, oc, v);
         if (cfg_.enable_variation) {
-          e *= toggle_factor(x ^ prev_addr_, y);
+          residual_energy_ += tables_.memory(op, v)[toggles(x ^ prev_addr_, y)];
+        } else {
+          residual_energy_ += memory_energy(oc, cost_, v) - oc.energy_nj;
         }
         prev_addr_ = x;
-        residual_energy_ += e - oc.energy_nj;
         return cyc;
       }
       case sim::ResidualKind::kBranch: {
@@ -333,30 +426,20 @@ class BoardHooks {
       }
       default: {  // kNone / kFpVariable: operand-toggle variation only
         if (cfg_.enable_variation) {
-          // Leakage is occupancy-bound, not switching-bound: only the
-          // dynamic share of the base energy is modulated by toggling.
-          const double dyn = oc.energy_nj - oc.leakage_nj;
-          const double e =
-              oc.leakage_nj + dyn * toggle_factor(x ^ prev_a_, y ^ prev_b_);
+          residual_energy_ +=
+              tables_.toggle(op)[toggles(x ^ prev_a_, y ^ prev_b_)];
           prev_a_ = x;
           prev_b_ = y;
-          residual_energy_ += e - oc.energy_nj;
         }
         return oc.cycles;
       }
     }
   }
 
-  // Energy modulation from switching activity: ~1.0 on average for typical
-  // data, spanning 1 +- amplitude/2.
-  double toggle_factor(std::uint32_t x, std::uint32_t y) const {
-    const int toggles = std::popcount(x) + std::popcount(y);
-    const double tf = static_cast<double>(toggles) / 64.0;  // 0..1
-    return 1.0 + cfg_.data_energy_amplitude * (tf - 0.5);
-  }
-
+  // Counts the access, updates cache and SDRAM row state, and returns the
+  // cycles; `v` says which base energy the access pays.
   std::uint32_t memory_cycles(isa::Op op, std::uint32_t ea, const OpCost& oc,
-                              double& e) {
+                              MemEnergy& v) {
     if (isa::is_load(op)) {
       ++stats_.loads;
     } else {
@@ -367,7 +450,7 @@ class BoardHooks {
       const std::uint32_t index = line % cfg_.cache_lines;
       if (tags_[index] == line) {
         ++stats_.cache_hits;
-        e = cost_.cache_hit_energy_nj();
+        v = MemEnergy::kCacheHit;
         return cost_.cache_hit_cycles();
       }
       ++stats_.cache_misses;
@@ -378,7 +461,7 @@ class BoardHooks {
       open_row_ = row;
       ++stats_.row_misses;
       stats_.stall_cycles += cost_.row_miss_cycles();
-      e += cost_.row_miss_energy_nj();
+      v = MemEnergy::kRowMiss;
       return oc.cycles + cost_.row_miss_cycles();
     }
     return oc.cycles;
@@ -392,12 +475,13 @@ class BoardHooks {
       activity_lfsr_ ^= activity_lfsr_ << 13;
       activity_lfsr_ ^= activity_lfsr_ >> 7;
       activity_lfsr_ ^= activity_lfsr_ << 17;
-      activity_ += std::popcount(activity_lfsr_);
+      activity_ += popcount64(activity_lfsr_);
     }
   }
 
   const BoardConfig& cfg_;
   const CostModel& cost_;
+  const ResidualTables& tables_;
 
   std::uint64_t cycles_ = 0;
   // Energy state: per-op retire counts (static base, summed lazily in

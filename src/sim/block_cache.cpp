@@ -716,7 +716,8 @@ BlockCache::BlockCache(Bus& bus, std::uint32_t code_base,
       code_base_(code_base),
       limit_(static_cast<std::uint32_t>(4 * dcache.size())),
       dcache_(dcache),
-      index_(dcache.size(), kUnknown) {}
+      index_(dcache.size(), kUnknown),
+      covered_(dcache.size(), false) {}
 
 BlockCache::~BlockCache() = default;
 
@@ -772,6 +773,10 @@ Block* BlockCache::morph(std::uint32_t idx) {
     }
   }
 
+  const std::uint32_t cover_end =
+      std::min<std::uint32_t>(idx + n + 1, static_cast<std::uint32_t>(end));
+  for (std::uint32_t w = idx; w < cover_end; ++w) covered_[w] = true;
+
   ++stats_.blocks_morphed;
   stats_.insns_morphed += n;
   index_[idx] = static_cast<std::int32_t>(blocks_.size());
@@ -789,10 +794,14 @@ void BlockCache::invalidate(std::uint32_t ea, std::uint32_t bytes) {
   const auto w0 = static_cast<std::uint32_t>((lo64 - code_base_) >> 2);
   const auto w1 = static_cast<std::uint32_t>((hi64 - 1 - code_base_) >> 2);
 
+  bool covered = false;
   for (std::uint32_t w = w0; w <= w1; ++w) {
     dcache_[w] = isa::decode(bus_.load32(code_base_ + 4 * w));
     if (index_[w] == kNoBlock) index_[w] = kUnknown;
+    covered = covered || covered_[w];
   }
+  if (!covered) return;
+  ++stats_.store_scans;
 
   const std::uint32_t lo = code_base_ + 4 * w0;
   const std::uint32_t hi = code_base_ + 4 * w1 + 4;

@@ -17,7 +17,9 @@
 // lands inside the cached code range re-decodes the overwritten words and
 // flushes every block overlapping them (taking effect at the next block
 // entry; the remainder of a block already in flight completes from its
-// morphed trace).
+// morphed trace). The cached range is the whole loaded image, data
+// included, so most such stores hit globals no block was ever morphed
+// from: a per-word "covered" bit lets those skip the block scan.
 #pragma once
 
 #include <cstdint>
@@ -123,6 +125,9 @@ class BlockCache {
     std::uint64_t blocks_morphed = 0;
     std::uint64_t insns_morphed = 0;
     std::uint64_t flushes = 0;
+    // Stores into the image that touched a word some morphed block covers
+    // and therefore scanned blocks_ for overlaps (the rest only re-decode).
+    std::uint64_t store_scans = 0;
   };
 
   // `dcache` is the platform's predecoded image over
@@ -159,7 +164,8 @@ class BlockCache {
   // A store hit [ea, ea + bytes) inside the code range: re-decode the
   // touched words and flush every block overlapping them. A flushed block
   // in flight finishes its current trace; its successor then resolves
-  // through lookup(), which re-morphs the patched code.
+  // through lookup(), which re-morphs the patched code. The overlap scan
+  // runs only when a touched word is covered (see covered_).
   void invalidate(std::uint32_t ea, std::uint32_t bytes);
 
   const Stats& stats() const { return stats_; }
@@ -193,6 +199,11 @@ class BlockCache {
   // Word index of a block *entry* -> slot in blocks_, or kUnknown/kNoBlock.
   std::vector<std::int32_t> index_;
   std::vector<std::unique_ptr<Block>> blocks_;
+  // Per word: inside [start, start + len] of some morphed block. The word
+  // past the end is the CTI delay slot a jit-compiled block may fold in.
+  // Set in morph() and never cleared, so it over-approximates the footprint
+  // of every live block: a store touching no covered word overlaps none.
+  std::vector<bool> covered_;
   // Invalidated blocks are parked here, not freed: a store inside the block
   // currently being executed must leave its morphed trace alive until the
   // dispatch loop returns to lookup(), which drains the graveyard.

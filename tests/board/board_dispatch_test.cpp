@@ -354,13 +354,15 @@ TEST(BoardDispatch, LeakageShareIsExemptFromToggleVariation) {
   CostModel all_leakage;
   all_leakage.of(isa::Op::kAdd).leakage_nj =
       all_leakage.of(isa::Op::kAdd).energy_nj;
-  BoardHooks hooks_static(cfg, all_leakage);
+  const ResidualTables static_tables(cfg, all_leakage);
+  BoardHooks hooks_static(cfg, all_leakage, static_tables);
   hooks_static.on_retire(add, noisy);
   EXPECT_DOUBLE_EQ(hooks_static.energy_nj(),
                    all_leakage.of(isa::Op::kAdd).energy_nj);
 
   CostModel no_leakage;
-  BoardHooks hooks_dynamic(cfg, no_leakage);
+  const ResidualTables dynamic_tables(cfg, no_leakage);
+  BoardHooks hooks_dynamic(cfg, no_leakage, dynamic_tables);
   hooks_dynamic.on_retire(add, noisy);
   EXPECT_NE(hooks_dynamic.energy_nj(), no_leakage.of(isa::Op::kAdd).energy_nj);
 }

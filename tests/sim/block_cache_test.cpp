@@ -12,8 +12,10 @@
 #include <vector>
 
 #include "asmkit/assembler.h"
+#include "sim/executor.h"
 #include "sim/iss.h"
 #include "sim/memmap.h"
+#include "sim/platform.h"
 #include "workloads/kernels.h"
 
 namespace nfp::sim {
@@ -245,6 +247,92 @@ word:   mov 7, %o1
   // Patched values seen: 7, 1, 7, 1.
   EXPECT_EQ(r.exit_code, 16u);
   EXPECT_GE(iss.platform().block_cache()->stats().flushes, 3u);
+}
+
+TEST(BlockCache, StoredInstructionInDataWordExecutesInEveryMode) {
+  // The program copies three instruction words into `.data` words that
+  // were never executed, then calls them. No morphed block covers those
+  // words, so the stores skip the block scan — but they must still
+  // re-decode the image, or the call would run the stale data bits.
+  const auto prog = asmkit::assemble(R"(
+_start: set tmpl, %g1
+        set dslot, %g2
+        ld [%g1], %l0
+        st %l0, [%g2]
+        ld [%g1 + 4], %l0
+        st %l0, [%g2 + 4]
+        ld [%g1 + 8], %l0
+        st %l0, [%g2 + 8]
+        call dslot
+        nop
+        ta 0
+tmpl:   mov 7, %o0
+        retl
+        nop
+        .data
+dslot:  .word 0, 0, 0
+)",
+                                     kTextBase);
+  for (const auto dispatch :
+       {Dispatch::kStep, Dispatch::kBlock, Dispatch::kJit}) {
+    SCOPED_TRACE(static_cast<int>(dispatch));
+    Iss iss;
+    iss.load(prog);
+    const auto r = iss.run(1'000'000, dispatch);
+    ASSERT_TRUE(r.halted);
+    EXPECT_EQ(r.exit_code, 7u);
+    const BlockCache& cache = *iss.platform().block_cache();
+    // Premise: the data words lie inside the cached image.
+    EXPECT_TRUE(cache.covers_code(prog.symbol("dslot")));
+    EXPECT_EQ(cache.stats().store_scans, 0u);
+    EXPECT_EQ(cache.stats().flushes, 0u);
+  }
+}
+
+// Counts retired stores whose effective address lies in the cached image.
+struct ImageStoreHooks {
+  static constexpr bool kWantsDetail = true;
+  static constexpr bool kBatchRetire = false;
+  static constexpr bool kBlockCost = false;
+  const BlockCache* cache = nullptr;
+  std::uint64_t image_stores = 0;
+  void on_retire(const isa::DecodedInsn& d, const RetireInfo& info) {
+    if (isa::is_store(d.op) && cache->covers_code(info.ea)) ++image_stores;
+  }
+};
+
+TEST(BlockCache, FseKernelStoresRarelyScanBlocks) {
+  // FSE keeps its working set in globals inside the loaded image, so nearly
+  // every store lands in the cached range; only the covered-word gate keeps
+  // them from walking every morphed block.
+  workloads::FseKernelParams params;
+  params.iterations = 2;
+  params.count = 1;
+  const auto job =
+      workloads::make_fse_jobs(mcc::FloatAbi::kHard, params)[0];
+
+  Platform platform;
+  platform.load(job.program);
+  for (const auto& [addr, bytes] : job.inputs) {
+    platform.bus().write_block(addr, bytes.data(), bytes.size());
+  }
+  ImageStoreHooks hooks;
+  hooks.cache = platform.block_cache();
+  Executor<ImageStoreHooks> exec(platform.cpu(), platform.bus(), hooks);
+  exec.set_decode_cache(platform.code_base(), platform.decode_cache());
+  exec.set_dispatch(Dispatch::kStep);
+  exec.run(2'000'000'000ull);
+  ASSERT_TRUE(platform.cpu().halted);
+
+  Iss iss;
+  iss.load(job.program);
+  for (const auto& [addr, bytes] : job.inputs) {
+    iss.bus().write_block(addr, bytes.data(), bytes.size());
+  }
+  ASSERT_TRUE(iss.run(2'000'000'000ull, Dispatch::kBlock).halted);
+  const auto& stats = iss.platform().block_cache()->stats();
+  EXPECT_GT(hooks.image_stores, 10'000u);
+  EXPECT_LT(stats.store_scans * 1000, hooks.image_stores);
 }
 
 TEST(BlockCache, LookupRejectsMisalignedAndForeignPcs) {

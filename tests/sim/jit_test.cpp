@@ -388,6 +388,58 @@ word:   mov 7, %o0
   expect_step_jit_identical(prog, 1'000'000, "self-modify");
 }
 
+TEST(Jit, StoreIntoFoldedDelaySlotKillsBlock) {
+  SKIP_WITHOUT_JIT();
+  // The block at `skip` ends in "ba loop" and the jit folds its delay slot
+  // `slot` into the emitted code. No block starts at or runs over `slot`,
+  // so only the folded-delay footprint (the word one past the block) ties
+  // it to compiled code. On the third pass a separate block patches `slot`
+  // from "mov 1, %o1" to "mov 7, %o1"; executing the stale folded copy
+  // would add 1 instead of 7 on the last two passes.
+  const auto prog = asmkit::assemble(R"(
+_start: mov 0, %l7
+        mov 0, %o0
+        mov 0, %o1
+        set slot, %g1
+        set word, %g2
+        ld [%g2], %l0
+loop:   add %o0, %o1, %o0
+        cmp %l7, 4
+        be done
+        nop
+        cmp %l7, 2
+        bne skip
+        nop
+        st %l0, [%g1]
+        ba skip
+        nop
+skip:   add %l7, 1, %l7
+        ba loop
+slot:   mov 1, %o1
+done:   ta 0
+word:   mov 7, %o1
+)",
+                                     kTextBase);
+  for (const auto dispatch :
+       {Dispatch::kStep, Dispatch::kBlock, Dispatch::kJit}) {
+    SCOPED_TRACE(static_cast<int>(dispatch));
+    Iss iss;
+    iss.load(prog);
+    const auto r = iss.run(1'000'000, dispatch);
+    ASSERT_TRUE(r.halted);
+    EXPECT_EQ(r.exit_code, 16u);
+    if (dispatch == Dispatch::kJit) {
+      // Premise: the recompiled block really folds the patched slot.
+      BlockCache& cache = *iss.platform().block_cache();
+      const Block* b = cache.lookup(prog.symbol("skip"));
+      ASSERT_NE(b, nullptr);
+      EXPECT_TRUE(b->jit_folds_delay);
+      EXPECT_GE(cache.stats().flushes, 1u);
+      EXPECT_GE(cache.stats().store_scans, 1u);
+    }
+  }
+}
+
 TEST(Jit, MidChainInvalidationUnpatchesBothSides) {
   SKIP_WITHOUT_JIT();
   // Block X patches block B's first word, then jumps into B; B jumps back

@@ -7,8 +7,10 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "sim/executor.h"
 
@@ -132,16 +134,23 @@ inline bool parse_loop_bound(const char* text,
   return true;
 }
 
-// Reads a whole file into a string, or exits with a usage error.
-inline std::string read_file(const std::string& path, const char* tool) {
+// Reads a whole file into a string; std::nullopt if it cannot be opened.
+inline std::optional<std::string> try_read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "%s: cannot open %s\n", tool, path.c_str());
-    std::exit(2);
-  }
+  if (!in) return std::nullopt;
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+// Reads a whole file into a string, or exits with a usage error.
+inline std::string read_file(const std::string& path, const char* tool) {
+  std::optional<std::string> text = try_read_file(path);
+  if (!text) {
+    std::fprintf(stderr, "%s: cannot open %s\n", tool, path.c_str());
+    std::exit(2);
+  }
+  return std::move(*text);
 }
 
 }  // namespace nfp::cli

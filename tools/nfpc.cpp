@@ -22,9 +22,9 @@
 //                       is bit-identical across modes; the board has no
 //                       jit tier, so under jit it runs block)
 //     --sim-stats       print the full BlockCache::Stats after the run
-//                       (morphs, flushes); with --board, also the board's
-//                       cache stats and its PMU-style event-counter export
-//                       (board/events.h)
+//                       (morphs, flushes, store scans); with --board, also
+//                       the board's cache stats and its PMU-style
+//                       event-counter export (board/events.h)
 //     --seed N          board/calibration noise seed for --estimate and
 //                       --board campaigns (also --seed=N)
 //     --max-insns N     ISS retirement budget (default 200M); with
@@ -86,6 +86,8 @@ void print_sim_stats(const nfp::sim::BlockCache* cache) {
               static_cast<unsigned long long>(s.insns_morphed));
   std::printf("  flushes          %llu\n",
               static_cast<unsigned long long>(s.flushes));
+  std::printf("  store_scans      %llu\n",
+              static_cast<unsigned long long>(s.store_scans));
 }
 
 void print_event_counters(const nfp::board::EventCounters& ev) {

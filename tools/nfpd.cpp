@@ -40,11 +40,15 @@
 //                       served as the final answer (no ISS/board run);
 //                       refused programs still run dynamically
 //   Positional arguments are SPARC V8 assembly kernels, assembled at the
-//   platform text base and appended after any --campaign set.
+//   platform text base and appended after any --campaign set. A path that
+//   cannot be read or assembled fails only its own job: it gets an
+//   "ok":false record carrying the error, and the other jobs still run.
 //   All value flags accept both "--flag N" and "--flag=N".
 //   Exit status: 0 if every job succeeded, 1 otherwise, 2 on usage.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -176,19 +180,37 @@ int main(int argc, char** argv) {
         jobs.push_back(std::move(sj));
       }
     }
-    for (const std::string& path : kernel_paths) {
-      nfp::model::ServiceJob sj;
-      sj.name = path;
-      sj.program = nfp::asmkit::assemble(nfp::cli::read_file(path, "nfpd"),
-                                         nfp::sim::kTextBase);
-      sj.max_insns = max_insns;
-      sj.slice_insns = slice;
-      jobs.push_back(std::move(sj));
-    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "nfpd: %s\n", e.what());
     return 2;
   }
+  // Positional kernels: a bad input becomes a failed record of its own.
+  std::vector<nfp::model::ServiceResult> rejected;
+  for (const std::string& path : kernel_paths) {
+    nfp::model::ServiceJob sj;
+    sj.name = path;
+    try {
+      const std::optional<std::string> text = nfp::cli::try_read_file(path);
+      if (!text) throw std::runtime_error("cannot open " + path);
+      sj.program = nfp::asmkit::assemble(*text, nfp::sim::kTextBase);
+    } catch (const std::exception& e) {
+      nfp::model::ServiceResult r;
+      r.record.name = path;
+      r.record.error = e.what();
+      rejected.push_back(std::move(r));
+      continue;
+    }
+    sj.max_insns = max_insns;
+    sj.slice_insns = slice;
+    jobs.push_back(std::move(sj));
+  }
+  // The service numbers its jobs densely from 0 in submit order; rejected
+  // inputs take the ids after them.
+  for (std::size_t k = 0; k < rejected.size(); ++k) {
+    rejected[k].id = jobs.size() + k;
+    std::puts(nfp::model::result_json_line(rejected[k]).c_str());
+  }
+  std::fflush(stdout);
 
   const bool want_static = static_cast<bool>(cfg.static_estimator);
   nfp::model::CampaignService service(cfg);
@@ -207,8 +229,9 @@ int main(int argc, char** argv) {
     });
   }
 
-  std::size_t failed = 0, static_served = 0;
-  const auto results = service.run_jobs(std::move(jobs));
+  std::size_t failed = rejected.size(), static_served = 0;
+  const auto results = jobs.empty() ? std::vector<nfp::model::ServiceResult>{}
+                                    : service.run_jobs(std::move(jobs));
   for (const auto& r : results) {
     if (!r.record.ok) ++failed;
     if (r.static_served) ++static_served;
