@@ -11,7 +11,7 @@
 //   - every scheme produces finite error statistics over the campaign.
 //
 // The whole table is persisted as BENCH_scheme_accuracy.json (repo-root
-// convention, like BENCH_static_triangle.json) for trend tracking.
+// convention, like BENCH_simspeed.json) for trend tracking.
 #include <cmath>
 #include <cstdio>
 #include <cstring>

@@ -1,5 +1,6 @@
 #include "nfp/campaign.h"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -7,14 +8,14 @@
 
 namespace nfp::model {
 
-Campaign::Campaign(board::BoardConfig cfg, unsigned threads)
-    : cfg_(cfg), threads_(threads) {
-  if (threads_ == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    // Each worker holds two 16 MiB platforms; cap the default fleet.
-    threads_ = hw == 0 ? 2 : std::min(hw, 8u);
-  }
+unsigned resolve_workers(unsigned requested) {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 2 : std::min(hw, 8u);
 }
+
+Campaign::Campaign(board::BoardConfig cfg, unsigned threads)
+    : cfg_(cfg), threads_(resolve_workers(threads)) {}
 
 KernelRunRecord Campaign::run_one(const KernelJob& job) const {
   WorkerArena arena(cfg_);

@@ -55,6 +55,12 @@ inline RunSample run_sample(const KernelRunRecord& rec) {
   return s;
 }
 
+// Worker count for a `requested` fleet size: `requested` itself when
+// nonzero, else min(hardware_concurrency, 8), or 2 when the host does not
+// report its CPU count. Each worker holds two 16 MiB platforms, hence the
+// cap. Shared by Campaign and CampaignService.
+unsigned resolve_workers(unsigned requested);
+
 class Campaign {
  public:
   // One worker's reusable simulators. Constructing a Bus zeroes 16 MiB of

@@ -17,13 +17,7 @@ CampaignService::CampaignService(ServiceConfig cfg)
                                 cfg_.scheme + "' (known: " +
                                 estimator_names() + ")");
   }
-  unsigned workers = cfg_.workers;
-  if (workers == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    // Each worker holds two 16 MiB platforms; cap the default fleet.
-    workers = hw == 0 ? 2 : std::min(hw, 8u);
-  }
-  workers = std::max(workers, 1u);
+  const unsigned workers = resolve_workers(cfg_.workers);
   shards_.resize(workers);
   pool_.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
@@ -81,13 +75,6 @@ void CampaignService::set_sink(std::function<void(const ServiceResult&)> sink) {
   sink_ = std::move(sink);
 }
 
-void CampaignService::set_static_sink(
-    std::function<void(std::uint64_t, const std::string&, const StaticBounds&)>
-        sink) {
-  std::lock_guard<std::mutex> lk(sink_mu_);
-  static_sink_ = std::move(sink);
-}
-
 const CategoryCosts& CampaignService::costs() {
   if (!cfg_.calibrate) {
     throw std::logic_error("CampaignService: calibration disabled");
@@ -140,23 +127,6 @@ bool CampaignService::run_slice(PendingJob& pj, Campaign::WorkerArena& arena,
   ++pj.slices;
   ++delta.slices;
   const ServiceJob& job = pj.job;
-
-  // Static fast path: price the program before the first executed
-  // instruction and serve the interval immediately. In static_only mode an
-  // accepted interval IS the answer; refusals fall through to the dynamic
-  // pipeline either way.
-  if (cfg_.static_estimator && !pj.static_bounds) {
-    pj.static_bounds = cfg_.static_estimator(job.program);
-    {
-      std::lock_guard<std::mutex> sg(sink_mu_);
-      if (static_sink_) static_sink_(pj.id, job.name, *pj.static_bounds);
-    }
-    if (cfg_.static_only && pj.static_bounds->accepted) {
-      pj.static_served = true;
-      pj.rec.ok = true;
-      return true;
-    }
-  }
 
   if (pj.phase == Phase::kIss) {
     sim::Iss& iss = arena.iss;
@@ -281,8 +251,6 @@ void CampaignService::worker_main(unsigned self) {
       if (cfg_.calibrate) res.scheme = cfg_.scheme;
       res.slices = pj.slices;
       res.checkpoints = pj.checkpoints;
-      res.static_bounds = std::move(pj.static_bounds);
-      res.static_served = pj.static_served;
       // Streamed before the job counts as completed, so wait_all() never
       // returns with a sink call still in flight; outside the queue lock so
       // a slow sink never stalls the other workers, under sink_mu_ so lines
@@ -347,26 +315,6 @@ void append_kv(std::string& out, const char* key, std::uint64_t value) {
 
 }  // namespace
 
-std::string static_bounds_json(const StaticBounds& b) {
-  if (!b.accepted) {
-    std::string out = "{\"accepted\":false,\"reason\":\"";
-    append_escaped(out, b.reason);
-    out += "\"}";
-    return out;
-  }
-  std::string out = "{\"accepted\":true,";
-  append_kv(out, "insns_lower", b.insns_lower);
-  append_kv(out, "insns_upper", b.insns_upper);
-  append_kv(out, "cycles_lower", b.cycles_lower);
-  append_kv(out, "cycles_upper", b.cycles_upper);
-  append_kv(out, "time_lower_s", b.time_lower_s);
-  append_kv(out, "time_upper_s", b.time_upper_s);
-  append_kv(out, "energy_lower_nj", b.energy_lower_nj);
-  append_kv(out, "energy_upper_nj", b.energy_upper_nj);
-  out.back() = '}';  // replace the trailing comma
-  return out;
-}
-
 std::string result_json_line(const ServiceResult& r) {
   std::string out = "{\"id\":";
   out += std::to_string(r.id);
@@ -410,13 +358,6 @@ std::string result_json_line(const ServiceResult& r) {
   }
   append_kv(out, "slices", r.slices);
   append_kv(out, "checkpoints", r.checkpoints);
-  if (r.static_bounds) {
-    out += "\"static_served\":";
-    out += r.static_served ? "true," : "false,";
-    out += "\"static\":";
-    out += static_bounds_json(*r.static_bounds);
-    out += ',';
-  }
   out.back() = '}';  // replace the trailing comma
   return out;
 }

@@ -18,12 +18,6 @@
 //    the stable submit-order view afterwards. result_json_line() renders a
 //    result as one JSON-lines record for piping (tools/nfpd).
 //
-// An optional static fast path (ServiceConfig::static_estimator, injected
-// by the caller so this library never links the analyzer) serves an
-// execution-free [lower, upper] interval per job before the first slice
-// runs; static_only mode accepts that interval as the final answer and
-// skips the dynamic pipeline entirely (nfpd --static-first/--static-only).
-//
 // Estimates reuse one warm calibration table: the first job that needs it
 // calibrates once (Table I / Eq. 2) and every later job estimates (Eq. 1)
 // from the shared costs.
@@ -59,18 +53,6 @@ struct ServiceJob {
   std::uint64_t slice_insns = 0;
 };
 
-// Execution-free interval from a static estimator (analyze/ipet, injected
-// through ServiceConfig::static_estimator): guaranteed [lower, upper] per
-// metric when accepted, otherwise the stable refusal slug.
-struct StaticBounds {
-  bool accepted = false;
-  std::string reason;  // machine-parseable refusal slug when !accepted
-  std::uint64_t insns_lower = 0, insns_upper = 0;
-  std::uint64_t cycles_lower = 0, cycles_upper = 0;
-  double time_lower_s = 0.0, time_upper_s = 0.0;
-  double energy_lower_nj = 0.0, energy_upper_nj = 0.0;
-};
-
 struct ServiceResult {
   std::uint64_t id = 0;  // submit order, dense from 0
   KernelRunRecord record;
@@ -82,12 +64,6 @@ struct ServiceResult {
   std::string scheme;
   std::uint64_t slices = 0;       // run segments across both phases (>= 2)
   std::uint64_t checkpoints = 0;  // serialize/restore round trips
-  // Set when the service ran a static estimator over this job's program.
-  std::optional<StaticBounds> static_bounds;
-  // True when an accepted interval was served as the final answer and the
-  // ISS/board refinement run was skipped (ServiceConfig::static_only): the
-  // dynamic fields of `record` are then zero by construction.
-  bool static_served = false;
 };
 
 struct ServiceStats {
@@ -101,7 +77,8 @@ struct ServiceStats {
 
 struct ServiceConfig {
   board::BoardConfig board;
-  // Worker thread count; 0 = min(hardware_concurrency, 8), at least 2.
+  // Worker thread count; 0 = resolve_workers(0) (nfp/campaign.h):
+  // min(hardware_concurrency, 8), so 1 on a 1-CPU host.
   unsigned workers = 0;
   // Board dispatch; unset = kBlock, and a kJit request runs (and is
   // reported as) kBlock. Board accounting is bit-identical across modes, so
@@ -115,16 +92,6 @@ struct ServiceConfig {
   // "time-proxy"). The default keeps the paper's Eq. 1 pipeline
   // bit-identical; the constructor throws on unknown names.
   std::string scheme = "eq1";
-  // Execution-free fast path. When set, a job's first slice runs this
-  // estimator over the program before any execution; the interval streams
-  // immediately through the static sink and rides on the final result.
-  // nfp_model deliberately does not link nfp_analyze — callers (nfpd,
-  // tests) inject analyze_ipet through this hook.
-  std::function<StaticBounds(const asmkit::Program&)> static_estimator;
-  // With a static estimator set: serve accepted intervals as the final
-  // answer and skip the ISS/board refinement run entirely. Refused
-  // programs still fall through to the dynamic pipeline.
-  bool static_only = false;
 };
 
 class CampaignService {
@@ -155,13 +122,6 @@ class CampaignService {
   // submitting.
   void set_sink(std::function<void(const ServiceResult&)> sink);
 
-  // Fast-path sink: called the moment a job's static interval is known —
-  // before any execution — so callers can serve it immediately while the
-  // refinement run proceeds. Same locking discipline as set_sink.
-  void set_static_sink(std::function<void(std::uint64_t id,
-                                          const std::string& name,
-                                          const StaticBounds&)> sink);
-
   // The shared calibration table for the configured scheme (calibrates on
   // first use; throws if the service was configured with calibrate = false).
   const CategoryCosts& costs();
@@ -186,8 +146,6 @@ class CampaignService {
     Estimate estimate;
     std::uint64_t slices = 0;
     std::uint64_t checkpoints = 0;
-    std::optional<StaticBounds> static_bounds;
-    bool static_served = false;
   };
 
   void worker_main(unsigned self);
@@ -218,8 +176,6 @@ class CampaignService {
 
   std::mutex sink_mu_;
   std::function<void(const ServiceResult&)> sink_;
-  std::function<void(std::uint64_t, const std::string&, const StaticBounds&)>
-      static_sink_;
 
   std::once_flag calib_once_;
   std::optional<SchemeCalibration> calibration_;
@@ -228,12 +184,7 @@ class CampaignService {
 };
 
 // One finished job as a JSON-lines record (doubles rendered with enough
-// digits to round-trip bit-exactly). Carries a "static" object when the
-// service ran a static estimator over the job.
+// digits to round-trip bit-exactly).
 std::string result_json_line(const ServiceResult& r);
-
-// The "static" object alone (shared by result_json_line and the nfpd
-// fast-path stream): {"accepted":...,...} or {"accepted":false,"reason":..}.
-std::string static_bounds_json(const StaticBounds& b);
 
 }  // namespace nfp::model

@@ -245,6 +245,7 @@ class BlockCompiler {
   void emit_counts(int extra_op);
   void emit_helper_inline(std::uint32_t i);
   void emit_ea(const isa::DecodedInsn& d);
+  void emit_skip_fold_if_dead(x::Label& unfolded);
 
   void store_rd(const isa::DecodedInsn& d) {
     if (d.rd != 0) e_.mov_mr(reg_m(d.rd), Gp::rax);
@@ -280,6 +281,7 @@ class BlockCompiler {
   std::vector<ColdCall> colds_;
   std::vector<JitExit> exits_;
   bool folds_delay_ = false;
+  bool has_store_ = false;  // a body store may take the invalidating helper
   bool failed_ = false;
 };
 
@@ -357,6 +359,20 @@ void BlockCompiler::emit_ea(const isa::DecodedInsn& d) {
   }
 }
 
+// A body store that went through the helper may have overwritten the
+// folded delay-slot word and killed this block while it is in flight. The
+// interpreter executes that slot from the re-decoded image, so a dead block
+// must not run its folded copy: it takes the unfolded exit instead and the
+// host single-steps the slot. Blocks without a store cannot kill themselves
+// and skip the check.
+void BlockCompiler::emit_skip_fold_if_dead(x::Label& unfolded) {
+  if (!has_store_) return;
+  e_.mov_ri64(Gp::rax, reinterpret_cast<std::uint64_t>(&meta_->dead));
+  e_.movzx_rm8(Gp::rax, x::ptr(Gp::rax, 0));
+  e_.test_rr(Gp::rax, Gp::rax);
+  e_.jcc(Cc::kNe, unfolded);
+}
+
 void BlockCompiler::emit_counts(int extra_op) {
   if (!counted_) return;
   e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtCounts));
@@ -389,13 +405,15 @@ void BlockCompiler::emit_delayed_exit(std::uint32_t cti_pc,
     x::Label pending;
     e_.test_rr64(kBudget, kBudget);
     e_.jcc(Cc::kE, pending);
+    emit_skip_fold_if_dead(pending);
     e_.sub_ri64(kBudget, 1);
     emit_insn(*delay, b_.len);  // foldable ops never take slow paths
     emit_static_exit(target, b_.len + 1, static_cast<int>(delay->op));
     e_.bind(pending);
   }
-  // Budget exhausted (or unfoldable delay): the interpreter's post-CTI
-  // state, pc at the delay slot with npc redirected; the host single-steps.
+  // Budget exhausted, dead block or unfoldable delay: the interpreter's
+  // post-CTI state, pc at the delay slot with npc redirected; the host
+  // single-steps.
   e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(b_.len));
   emit_counts(-1);
   e_.mov_mi(x::ptr(kCpu, kOffPc), cti_pc + 4);
@@ -524,6 +542,7 @@ void BlockCompiler::emit_jmpl(const isa::DecodedInsn& d, std::uint32_t cti_pc,
     x::Label pending;
     e_.test_rr64(kBudget, kBudget);
     e_.jcc(Cc::kE, pending);
+    emit_skip_fold_if_dead(pending);
     e_.sub_ri64(kBudget, 1);
     emit_insn(*delay, b_.len);
     e_.mov_rm(Gp::rcx, x::ptr(kCpu, kOffNpc));
@@ -620,6 +639,7 @@ void BlockCompiler::emit_load(const isa::DecodedInsn& d, std::uint32_t i) {
 }
 
 void BlockCompiler::emit_store(const isa::DecodedInsn& d, std::uint32_t i) {
+  has_store_ = true;
   emit_ea(d);  // %ecx = ea
   ColdCall& c = new_cold(i);
   std::uint32_t width = 4;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "asmkit/assembler.h"
@@ -244,6 +245,17 @@ TEST(CampaignService, BoardDispatchDefaultsToBlockEvenWhereJitRuns) {
   EXPECT_EQ(CampaignService(cfg).board_dispatch(), sim::Dispatch::kBlock);
 }
 
+TEST(CampaignService, DefaultWorkerCountFollowsTheSharedFleetRule) {
+  // One rule for Campaign and CampaignService: an explicit count is kept,
+  // 0 means min(hardware_concurrency, 8) (2 when the host does not say).
+  EXPECT_EQ(resolve_workers(3), 3u);
+  EXPECT_EQ(resolve_workers(12), 12u);
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(resolve_workers(0), hw == 0 ? 2u : std::min(hw, 8u));
+  ServiceConfig cfg = fast_config(0);
+  EXPECT_EQ(CampaignService(cfg).workers(), resolve_workers(0));
+}
+
 TEST(CampaignService, MatchesBatchCampaignOnKernelSets) {
   // The acceptance bar: real MVC + FSE kernel sets (both ABIs) through the
   // sharded, preempting service equal the batch Campaign loop bit-for-bit
@@ -289,7 +301,9 @@ TEST(CampaignService, MatchesBatchCampaignOnKernelSets) {
     }
     const auto got = service.run_jobs(std::move(jobs));
     ASSERT_EQ(got.size(), batch.size());
-    if (workers == 3) EXPECT_GT(service.stats().checkpoints, 0u);
+    if (workers == 3) {
+      EXPECT_GT(service.stats().checkpoints, 0u);
+    }
     for (std::size_t i = 0; i < got.size(); ++i) {
       const auto& g = got[i].record;
       const auto& w = batch[i];
@@ -310,129 +324,6 @@ TEST(CampaignService, MatchesBatchCampaignOnKernelSets) {
           << g.name;
     }
   }
-}
-
-TEST(CampaignService, StaticFastPathStreamsBeforeTheFinalResult) {
-  // The injected estimator (a stub here; nfpd injects analyze_ipet) runs
-  // before the first executed instruction, streams through the static sink,
-  // and rides unchanged on the final record.
-  ServiceConfig cfg = fast_config(2);
-  cfg.static_estimator = [](const asmkit::Program& p) {
-    StaticBounds b;
-    b.accepted = true;
-    b.insns_lower = 1;
-    b.insns_upper = p.size();  // any program-derived value round-trips
-    b.energy_lower_nj = 2.5;
-    b.energy_upper_nj = 99.5;
-    return b;
-  };
-  CampaignService service(cfg);
-  std::mutex mu;
-  std::vector<std::pair<std::uint64_t, char>> order;  // (id, 's'tatic/'f'inal)
-  service.set_static_sink(
-      [&](std::uint64_t id, const std::string& name, const StaticBounds& b) {
-        std::lock_guard<std::mutex> lk(mu);
-        EXPECT_TRUE(b.accepted);
-        EXPECT_FALSE(name.empty());
-        order.emplace_back(id, 's');
-      });
-  service.set_sink([&](const ServiceResult& r) {
-    std::lock_guard<std::mutex> lk(mu);
-    order.emplace_back(r.id, 'f');
-  });
-  const auto results = service.run_jobs(
-      {loop_job("fast0", 40), loop_job("fast1", 60), loop_job("fast2", 80)});
-  ASSERT_EQ(results.size(), 3u);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.record.ok) << r.record.error;
-    EXPECT_GT(r.record.instret, 0u);  // refinement ran
-    EXPECT_FALSE(r.static_served);
-    ASSERT_TRUE(r.static_bounds.has_value());
-    EXPECT_TRUE(r.static_bounds->accepted);
-    EXPECT_EQ(r.static_bounds->insns_upper, r.record.instret == 0
-                                                ? 0u
-                                                : r.static_bounds->insns_upper);
-    EXPECT_EQ(r.static_bounds->energy_upper_nj, 99.5);
-  }
-  // Per job, the static interval streamed strictly before the final result.
-  for (std::uint64_t id = 0; id < 3; ++id) {
-    std::vector<char> kinds;
-    for (const auto& [oid, kind] : order) {
-      if (oid == id) kinds.push_back(kind);
-    }
-    ASSERT_EQ(kinds.size(), 2u) << "job " << id;
-    EXPECT_EQ(kinds[0], 's') << "job " << id;
-    EXPECT_EQ(kinds[1], 'f') << "job " << id;
-  }
-}
-
-TEST(CampaignService, StaticOnlyServesAcceptedAndRunsRefused) {
-  // static_only: an accepted interval is the answer (no execution at all);
-  // a refusal falls through to the full dynamic pipeline.
-  ServiceConfig cfg = fast_config(2);
-  cfg.static_only = true;
-  cfg.static_estimator = [](const asmkit::Program& p) {
-    StaticBounds b;
-    b.accepted = p.size() < 40;  // only the tiniest program is accepted
-    if (!b.accepted) b.reason = "unbounded-loop";
-    b.cycles_upper = 1234;
-    return b;
-  };
-  CampaignService service(cfg);
-  ServiceJob tiny;
-  tiny.name = "tiny";
-  tiny.program = asmkit::assemble("_start: mov 0, %o0\n ta 0\n nop\n",
-                                  sim::kTextBase);
-  const auto results =
-      service.run_jobs({std::move(tiny), loop_job("refused", 50)});
-  ASSERT_EQ(results.size(), 2u);
-
-  ASSERT_TRUE(results[0].static_bounds.has_value());
-  EXPECT_TRUE(results[0].static_bounds->accepted);
-  EXPECT_TRUE(results[0].static_served);
-  EXPECT_TRUE(results[0].record.ok);
-  EXPECT_EQ(results[0].record.instret, 0u);  // never executed
-  EXPECT_EQ(results[0].slices, 1u);
-
-  ASSERT_TRUE(results[1].static_bounds.has_value());
-  EXPECT_FALSE(results[1].static_bounds->accepted);
-  EXPECT_EQ(results[1].static_bounds->reason, "unbounded-loop");
-  EXPECT_FALSE(results[1].static_served);
-  ASSERT_TRUE(results[1].record.ok) << results[1].record.error;
-  EXPECT_GT(results[1].record.instret, 0u);  // dynamic pipeline ran
-  EXPECT_GT(results[1].record.cycles, 0u);
-}
-
-TEST(CampaignService, JsonLineCarriesTheStaticObject) {
-  ServiceResult r;
-  r.record.name = "static";
-  r.record.ok = true;
-  StaticBounds b;
-  b.accepted = true;
-  b.insns_lower = 5;
-  b.insns_upper = 11;
-  b.cycles_lower = 29;
-  b.cycles_upper = 61;
-  r.static_bounds = b;
-  r.static_served = true;
-  const std::string line = result_json_line(r);
-  EXPECT_NE(line.find("\"static_served\":true"), std::string::npos);
-  EXPECT_NE(line.find("\"static\":{\"accepted\":true,\"insns_lower\":5,"
-                      "\"insns_upper\":11,\"cycles_lower\":29,"
-                      "\"cycles_upper\":61,"),
-            std::string::npos);
-  EXPECT_EQ(line.back(), '}');
-
-  StaticBounds refused;
-  refused.accepted = false;
-  refused.reason = "recursion";
-  EXPECT_EQ(static_bounds_json(refused),
-            "{\"accepted\":false,\"reason\":\"recursion\"}");
-
-  // No estimator => no static fields at all.
-  ServiceResult plain;
-  plain.record.name = "plain";
-  EXPECT_EQ(result_json_line(plain).find("static"), std::string::npos);
 }
 
 TEST(CampaignService, WarmCalibrationTableIsSharedAcrossJobs) {

@@ -440,6 +440,45 @@ word:   mov 7, %o1
   }
 }
 
+TEST(Jit, BlockStoringIntoItsOwnFoldedSlotRunsTheNewSlot) {
+  SKIP_WITHOUT_JIT();
+  // The block "add; st; ba loop" folds its delay slot `slot`, and its own
+  // store patches that slot from "mov 1, %o1" to "mov 7, %o1" on the first
+  // pass. The store kills the block while it is in flight: the body keeps
+  // running from the stale trace, as in the interpreter, but the slot must
+  // then execute from the re-decoded image (7 + 7 + 7 = 21), not from the
+  // folded copy (1 + 7 + 7 = 15).
+  const auto prog = asmkit::assemble(R"(
+_start: mov 0, %l7
+        mov 0, %o0
+        mov 0, %o1
+        set slot, %g1
+        set word, %g2
+        ld [%g2], %l0
+loop:   add %o0, %o1, %o0
+        cmp %l7, 3
+        be done
+        nop
+        add %l7, 1, %l7
+        st %l0, [%g1]
+        ba loop
+slot:   mov 1, %o1
+done:   ta 0
+word:   mov 7, %o1
+)",
+                                     kTextBase);
+  for (const auto dispatch :
+       {Dispatch::kStep, Dispatch::kBlock, Dispatch::kJit}) {
+    SCOPED_TRACE(static_cast<int>(dispatch));
+    Iss iss;
+    iss.load(prog);
+    const auto r = iss.run(1'000'000, dispatch);
+    ASSERT_TRUE(r.halted);
+    EXPECT_EQ(r.exit_code, 21u);
+  }
+  expect_step_jit_identical(prog, 1'000'000, "store into own folded slot");
+}
+
 TEST(Jit, MidChainInvalidationUnpatchesBothSides) {
   SKIP_WITHOUT_JIT();
   // Block X patches block B's first word, then jumps into B; B jumps back

@@ -118,44 +118,6 @@ TEST(CliCommon, BoolFlagExactSpellingOnly) {
   EXPECT_FALSE(value);
 }
 
-TEST(CliCommon, ParseLoopBoundHexAndDecimalAddresses) {
-  std::map<std::uint32_t, std::uint64_t> bounds;
-  EXPECT_TRUE(parse_loop_bound("0x40000010=12", bounds));
-  EXPECT_TRUE(parse_loop_bound("1073741856=7", bounds));  // 0x40000020
-  ASSERT_EQ(bounds.size(), 2u);
-  EXPECT_EQ(bounds.at(0x40000010u), 12u);
-  EXPECT_EQ(bounds.at(0x40000020u), 7u);
-}
-
-TEST(CliCommon, ParseLoopBoundOverwritesEarlierAnnotation) {
-  std::map<std::uint32_t, std::uint64_t> bounds;
-  EXPECT_TRUE(parse_loop_bound("0x40=3", bounds));
-  EXPECT_TRUE(parse_loop_bound("0x40=9", bounds));
-  ASSERT_EQ(bounds.size(), 1u);
-  EXPECT_EQ(bounds.at(0x40u), 9u);  // last annotation wins
-}
-
-TEST(CliCommon, ParseLoopBoundRejectsMalformedText) {
-  std::map<std::uint32_t, std::uint64_t> bounds;
-  EXPECT_FALSE(parse_loop_bound("40", bounds));       // no '='
-  EXPECT_FALSE(parse_loop_bound("=5", bounds));       // empty address
-  EXPECT_FALSE(parse_loop_bound("0x40=", bounds));    // empty value
-  EXPECT_FALSE(parse_loop_bound("abc=3", bounds));    // non-numeric address
-  EXPECT_FALSE(parse_loop_bound("0x40x=3", bounds));  // junk before '='
-  EXPECT_FALSE(parse_loop_bound("0x40=3x", bounds));  // junk after value
-  EXPECT_TRUE(bounds.empty());  // rejected operands leave the map untouched
-}
-
-TEST(CliCommon, ParseLoopBoundZeroNeedsAllowZero) {
-  std::map<std::uint32_t, std::uint64_t> bounds;
-  // A zero relative bound is meaningless...
-  EXPECT_FALSE(parse_loop_bound("0x40=0", bounds));
-  EXPECT_TRUE(bounds.empty());
-  // ...but a zero absolute total pins a never-executed loop (--loop-total).
-  EXPECT_TRUE(parse_loop_bound("0x40=0", bounds, /*allow_zero=*/true));
-  EXPECT_EQ(bounds.at(0x40u), 0u);
-}
-
 TEST(CliCommon, DispatchNamesRoundTrip) {
   for (const sim::Dispatch d :
        {sim::Dispatch::kStep, sim::Dispatch::kBlock, sim::Dispatch::kJit}) {

@@ -4,9 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -112,26 +110,6 @@ inline bool bool_flag(const std::string& arg, const std::string& name,
     return true;
   }
   return false;
-}
-
-// Parses one repeated "--loop-bound ADDR=N" (or "--loop-total ADDR=N")
-// operand into the annotation map. ADDR and N accept any strtoul base, so
-// "0x40000010=12" and "1073741840=12" are equivalent. N == 0 is rejected
-// unless `allow_zero` — a zero relative bound is meaningless, but a zero
-// absolute total legitimately pins a never-executed loop. Returns false on
-// malformed text (caller reports the usage error).
-inline bool parse_loop_bound(const char* text,
-                             std::map<std::uint32_t, std::uint64_t>& bounds,
-                             bool allow_zero = false) {
-  const char* eq = std::strchr(text, '=');
-  if (eq == nullptr || eq == text || eq[1] == '\0') return false;
-  char* end = nullptr;
-  const unsigned long addr = std::strtoul(text, &end, 0);
-  if (end != eq) return false;
-  const unsigned long long n = std::strtoull(eq + 1, &end, 0);
-  if (*end != '\0' || (n == 0 && !allow_zero)) return false;
-  bounds[static_cast<std::uint32_t>(addr)] = n;
-  return true;
 }
 
 // Reads a whole file into a string; std::nullopt if it cannot be opened.

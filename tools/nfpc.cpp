@@ -35,15 +35,7 @@
 //     --load-state FILE resume from a snapshot instead of compiling
 //                       (no .c inputs); continues under --dispatch up to
 //                       --max-insns and may itself --save-state again
-//     --static-bounds   run the execution-free IPET estimator on the
-//                       compiled program before executing it, printing
-//                       guaranteed [lower, upper] NFP intervals (or the
-//                       refusal reason) next to the dynamic numbers
-//     --loop-bound ADDR=N
-//                       annotate a loop header for --static-bounds when
-//                       the counted-loop inference cannot find the bound
-//                       (repeatable; ADDR is the header block address
-//                       from nfplint --dump-cfg)
+//   Any other argument starting with '-' is a usage error (exit 2).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -53,8 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "analyze/cfg.h"
-#include "analyze/ipet.h"
 #include "board/board.h"
 #include "cli_common.h"
 #include "mcc/compiler.h"
@@ -125,8 +115,6 @@ void print_jit_stats(nfp::sim::BlockCache* cache) {
 int main(int argc, char** argv) {
   bool soft = false, want_asm = false, want_estimate = false;
   bool want_board = false, want_counts = false, want_sim_stats = false;
-  bool want_static = false;
-  nfp::analyze::IpetConfig ipet_cfg;
   nfp::sim::Dispatch dispatch = nfp::sim::Dispatch::kBlock;
   std::size_t trace_limit = 0;
   bool have_seed = false;
@@ -149,14 +137,6 @@ int main(int argc, char** argv) {
       want_board = true;
     } else if (arg == "--counts") {
       want_counts = true;
-    } else if (arg == "--static-bounds") {
-      want_static = true;
-    } else if (const char* v = nfp::cli::flag_value("--loop-bound", argc,
-                                                    argv, i, "nfpc")) {
-      if (!nfp::cli::parse_loop_bound(v, ipet_cfg.loop_bounds)) {
-        std::fprintf(stderr, "nfpc: bad --loop-bound '%s' (want ADDR=N)\n", v);
-        return 2;
-      }
     } else if (const char* v =
                    nfp::cli::flag_value("--dispatch", argc, argv, i, "nfpc")) {
       dispatch = nfp::cli::effective_dispatch(
@@ -188,11 +168,14 @@ int main(int argc, char** argv) {
       std::printf("usage: nfpc [--soft-float] [--asm] [--trace[=N]] "
                   "[--estimate] [--board] [--counts] [--sim-stats] "
                   "[--scheme=eq1|events|time-proxy] "
-                  "[--static-bounds] [--loop-bound ADDR=N]... "
                   "[--seed N] [--max-insns N] [--save-state FILE] "
                   "[--load-state FILE] "
                   "[--dispatch=step|block|jit] file.c ...\n");
       return 0;
+    } else if (!arg.empty() && arg[0] == '-') {
+      std::fprintf(stderr, "nfpc: unknown argument '%s' (try --help)\n",
+                   arg.c_str());
+      return 2;
     } else {
       sources.push_back(read_file(arg));
     }
@@ -213,12 +196,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!load_state_path.empty()) {
-    if (!sources.empty() || want_asm || want_board || want_static ||
-        trace_limit > 0) {
+    if (!sources.empty() || want_asm || want_board || trace_limit > 0) {
       std::fprintf(stderr,
                    "nfpc: --load-state resumes a snapshot; it takes no .c "
-                   "inputs and excludes --asm/--trace/--board/"
-                   "--static-bounds\n");
+                   "inputs and excludes --asm/--trace/--board\n");
       return 2;
     }
   } else if (sources.empty()) {
@@ -253,17 +234,6 @@ int main(int argc, char** argv) {
       program = compiler.compile(sources);
       std::printf("nfpc: %u bytes at 0x%08x (%s ABI)\n", program->size(),
                   program->base(), soft ? "soft-float" : "hard-float");
-
-      if (want_static) {
-        // Execution-free triangle leg: the IPET intervals are printed
-        // before the run so they can be compared against the dynamic
-        // numbers below (the board truth must land inside them).
-        const nfp::analyze::Cfg cfg = nfp::analyze::build_cfg(*program);
-        const nfp::analyze::IpetResult ipet =
-            nfp::analyze::analyze_ipet(cfg, nfp::board::CostModel{},
-                                       ipet_cfg);
-        std::fputs(nfp::analyze::render(ipet).c_str(), stdout);
-      }
 
       if (trace_limit > 0) {
         nfp::sim::TraceSim tracer(trace_limit);

@@ -30,15 +30,6 @@
 //                       time-proxy (energy from measured time); the record
 //                       carries the scheme name and the board's event
 //                       counters
-//     --static-first    execution-free fast path: run the IPET static
-//                       estimator (analyze/ipet) over each job before its
-//                       first slice and stream the guaranteed interval
-//                       immediately as {"id":..,"name":..,"static":{..}};
-//                       the dynamic run then refines it and the final
-//                       record carries the same "static" object
-//     --static-only     like --static-first, but an accepted interval is
-//                       served as the final answer (no ISS/board run);
-//                       refused programs still run dynamically
 //   Positional arguments are SPARC V8 assembly kernels, assembled at the
 //   platform text base and appended after any --campaign set. A path that
 //   cannot be read or assembled fails only its own job: it gets an
@@ -52,10 +43,7 @@
 #include <string>
 #include <vector>
 
-#include "analyze/cfg.h"
-#include "analyze/ipet.h"
 #include "asmkit/assembler.h"
-#include "board/cost_model.h"
 #include "cli_common.h"
 #include "mcc/compiler.h"
 #include "nfp/service.h"
@@ -68,32 +56,7 @@ void usage() {
   std::printf(
       "usage: nfpd [--campaign] [--workers N] [--slice N] [--max-insns N]\n"
       "            [--dispatch MODE] [--seed N] [--estimate|--no-estimate]\n"
-      "            [--scheme eq1|events|time-proxy]\n"
-      "            [--static-first|--static-only] [kernel.s ...]\n");
-}
-
-// The analyzer injection: nfp_model never links nfp_analyze, so nfpd folds
-// the IPET result down to the service's transport struct here.
-nfp::model::StaticBounds run_static_estimator(
-    const nfp::asmkit::Program& program) {
-  const nfp::analyze::Cfg cfg = nfp::analyze::build_cfg(program);
-  const nfp::analyze::IpetResult ipet =
-      nfp::analyze::analyze_ipet(cfg, nfp::board::CostModel{});
-  nfp::model::StaticBounds b;
-  b.accepted = ipet.accepted;
-  if (!ipet.accepted) {
-    b.reason = nfp::analyze::to_string(ipet.refusal);
-    return b;
-  }
-  b.insns_lower = static_cast<std::uint64_t>(ipet.insns.lower);
-  b.insns_upper = static_cast<std::uint64_t>(ipet.insns.upper);
-  b.cycles_lower = static_cast<std::uint64_t>(ipet.cycles.lower);
-  b.cycles_upper = static_cast<std::uint64_t>(ipet.cycles.upper);
-  b.time_lower_s = ipet.time_s.lower;
-  b.time_upper_s = ipet.time_s.upper;
-  b.energy_lower_nj = ipet.energy_nj.lower;
-  b.energy_upper_nj = ipet.energy_nj.upper;
-  return b;
+      "            [--scheme eq1|events|time-proxy] [kernel.s ...]\n");
 }
 
 }  // namespace
@@ -134,11 +97,6 @@ int main(int argc, char** argv) {
       cfg.scheme = v;
     } else if (nfp::cli::bool_flag(arg, "--estimate", cfg.calibrate)) {
       // handled by bool_flag
-    } else if (arg == "--static-first") {
-      cfg.static_estimator = run_static_estimator;
-    } else if (arg == "--static-only") {
-      cfg.static_estimator = run_static_estimator;
-      cfg.static_only = true;
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -212,29 +170,17 @@ int main(int argc, char** argv) {
   }
   std::fflush(stdout);
 
-  const bool want_static = static_cast<bool>(cfg.static_estimator);
   nfp::model::CampaignService service(cfg);
   service.set_sink([](const nfp::model::ServiceResult& r) {
     std::puts(nfp::model::result_json_line(r).c_str());
     std::fflush(stdout);
   });
-  if (want_static) {
-    service.set_static_sink([](std::uint64_t id, const std::string& name,
-                               const nfp::model::StaticBounds& b) {
-      std::string line = "{\"id\":" + std::to_string(id) + ",\"name\":\"" +
-                         name + "\",\"static\":" +
-                         nfp::model::static_bounds_json(b) + "}";
-      std::puts(line.c_str());
-      std::fflush(stdout);
-    });
-  }
 
-  std::size_t failed = rejected.size(), static_served = 0;
+  std::size_t failed = rejected.size();
   const auto results = jobs.empty() ? std::vector<nfp::model::ServiceResult>{}
                                     : service.run_jobs(std::move(jobs));
   for (const auto& r : results) {
     if (!r.record.ok) ++failed;
-    if (r.static_served) ++static_served;
   }
   const auto stats = service.stats();
   std::fprintf(stderr,
@@ -249,11 +195,5 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.checkpoint_bytes),
                static_cast<unsigned long long>(stats.resumes),
                static_cast<unsigned long long>(stats.steals), failed);
-  if (static_served > 0) {
-    std::fprintf(stderr,
-                 "nfpd: %zu job(s) served from the static fast path "
-                 "(no execution)\n",
-                 static_served);
-  }
   return failed == 0 ? 0 : 1;
 }

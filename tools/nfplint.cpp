@@ -9,20 +9,12 @@
 //     disassembler against an independent field-level classifier. Prints a
 //     machine-readable per-family table and any inconsistencies.
 //
-//   nfplint [--mc [--soft-float]] [--dump-cfg] [--bounds] [--estimate]
-//           [--json] [--loop-bound ADDR=N]... [--loop-total ADDR=N]...
-//           file [file...]
+//   nfplint [--mc [--soft-float]] [--dump-cfg] [--json] file [file...]
 //     Static CFG recovery and linting of assembly (or Micro-C) programs:
 //     delay-slot legality, illegal encodings on reachable paths, edges off
-//     the image, unreachable code. The CFG is recovered once per image and
-//     shared by every analysis pass. With --bounds, also folds the recovered
-//     blocks with the board cost model into pre-run Ê/T̂ bounds; with
-//     --estimate, runs the execution-free IPET flow solver for guaranteed
-//     [lower, upper] intervals with per-loop bound provenance. --loop-bound
-//     annotates loop headers (relative, per loop entry); --loop-total pins
-//     absolute header-execution totals (e.g. from a profiled reference run;
-//     0 pins a dead loop). --json switches both reports to one JSON object
-//     per image on stdout.
+//     the image, unreachable code. --dump-cfg prints the recovered blocks;
+//     --json replaces the per-image summary line (and the finding lines)
+//     with one JSON object per image on stdout.
 //
 //   All value flags accept both "--flag N" and "--flag=N".
 //   Exit status: 0 clean, 1 findings (errors or sweep inconsistencies),
@@ -33,9 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "analyze/bounds.h"
 #include "analyze/cfg.h"
-#include "analyze/ipet.h"
 #include "analyze/sweep.h"
 #include "asmkit/assembler.h"
 #include "cli_common.h"
@@ -49,12 +39,8 @@ struct Options {
   bool micro_c = false;
   bool soft_float = false;
   bool dump_cfg = false;
-  bool bounds = false;
-  bool estimate = false;
   bool json = false;
   nfp::analyze::SweepConfig sweep_cfg;
-  nfp::analyze::BoundsConfig bounds_cfg;
-  nfp::analyze::IpetConfig ipet_cfg;
   std::vector<std::string> files;
 };
 
@@ -67,9 +53,8 @@ void usage() {
   std::printf(
       "usage: nfplint --sweep [--imm-samples N] [--reg-samples N]\n"
       "               [--asi-samples N] [--seed N] [--max-findings N]\n"
-      "       nfplint [--mc [--soft-float]] [--dump-cfg] [--bounds]\n"
-      "               [--estimate] [--json] [--loop-bound ADDR=N]...\n"
-      "               [--loop-total ADDR=N]... file [file...]\n");
+      "       nfplint [--mc [--soft-float]] [--dump-cfg] [--json]\n"
+      "               file [file...]\n");
 }
 
 int run_sweep_mode(const Options& opt) {
@@ -95,8 +80,6 @@ int run_sweep_mode(const Options& opt) {
 
 int lint_program(const nfp::asmkit::Program& program, const std::string& name,
                  const Options& opt) {
-  // One CFG recovery per image; findings, --dump-cfg, --bounds and
-  // --estimate all read the same recovered graph.
   const nfp::analyze::Cfg cfg = nfp::analyze::build_cfg(program);
   if (!opt.json) {
     for (const auto& f : cfg.findings) {
@@ -104,33 +87,11 @@ int lint_program(const nfp::asmkit::Program& program, const std::string& name,
     }
   }
   if (opt.dump_cfg) std::fputs(nfp::analyze::dump(cfg).c_str(), stdout);
-  const nfp::board::CostModel costs;
-  std::string json_fields;
-  if (opt.bounds) {
-    const nfp::analyze::BoundsResult bounds =
-        nfp::analyze::analyze_bounds(cfg, costs, opt.bounds_cfg);
-    if (opt.json) {
-      json_fields += "\"bounds\":" + nfp::analyze::to_json(bounds);
-    } else {
-      std::fputs(nfp::analyze::render(bounds).c_str(), stdout);
-    }
-  }
-  if (opt.estimate) {
-    const nfp::analyze::IpetResult ipet =
-        nfp::analyze::analyze_ipet(cfg, costs, opt.ipet_cfg);
-    if (opt.json) {
-      if (!json_fields.empty()) json_fields += ",";
-      json_fields += "\"ipet\":" + nfp::analyze::to_json(ipet);
-    } else {
-      std::fputs(nfp::analyze::render(ipet).c_str(), stdout);
-    }
-  }
   if (opt.json) {
     std::printf("{\"file\":\"%s\",\"blocks\":%zu,\"errors\":%zu,"
-                "\"findings\":%zu%s%s}\n",
+                "\"findings\":%zu}\n",
                 name.c_str(), cfg.blocks.size(), cfg.error_count(),
-                cfg.findings.size(), json_fields.empty() ? "" : ",",
-                json_fields.c_str());
+                cfg.findings.size());
   } else {
     std::printf("%s: %zu block(s), %zu error(s), %zu finding(s)\n",
                 name.c_str(), cfg.blocks.size(), cfg.error_count(),
@@ -153,26 +114,8 @@ int main(int argc, char** argv) {
       opt.soft_float = true;
     } else if (arg == "--dump-cfg") {
       opt.dump_cfg = true;
-    } else if (arg == "--bounds") {
-      opt.bounds = true;
-    } else if (arg == "--estimate") {
-      opt.estimate = true;
     } else if (arg == "--json") {
       opt.json = true;
-    } else if (const char* v = flag_value("--loop-bound", argc, argv, i)) {
-      if (!nfp::cli::parse_loop_bound(v, opt.bounds_cfg.loop_bounds)) {
-        std::fprintf(stderr, "nfplint: bad --loop-bound '%s' (want ADDR=N)\n",
-                     v);
-        return 2;
-      }
-      opt.ipet_cfg.loop_bounds = opt.bounds_cfg.loop_bounds;
-    } else if (const char* v = flag_value("--loop-total", argc, argv, i)) {
-      if (!nfp::cli::parse_loop_bound(v, opt.ipet_cfg.loop_totals,
-                                      /*allow_zero=*/true)) {
-        std::fprintf(stderr, "nfplint: bad --loop-total '%s' (want ADDR=N)\n",
-                     v);
-        return 2;
-      }
     } else if (const char* v = flag_value("--imm-samples", argc, argv, i)) {
       opt.sweep_cfg.imm_samples =
           static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
