@@ -26,12 +26,13 @@ struct Rung {
 
 template <typename Sim>
 nfp::sim::RunResult run_with_inputs(Sim& sim,
-                                    const nfp::model::KernelJob& job) {
+                                    const nfp::model::KernelJob& job,
+                                    auto... dispatch) {
   sim.load(job.program);
   for (const auto& [addr, bytes] : job.inputs) {
     sim.bus().write_block(addr, bytes.data(), bytes.size());
   }
-  return sim.run(nfp::sim::Iss::kDefaultMaxInsns);
+  return sim.run(nfp::sim::Iss::kDefaultMaxInsns, dispatch...);
 }
 
 double wall_of(const std::chrono::steady_clock::time_point& t0) {
@@ -81,10 +82,10 @@ int main() {
     r.time_err_pct = (est_t - t_true) / t_true * 100.0;
     rungs.push_back(r);
   }
-  {  // 2. functional simulation only.
+  {  // 2. functional simulation only (block dispatch; 2b is the jit).
     nfp::sim::FunctionalSim sim;
     t0 = std::chrono::steady_clock::now();
-    run_with_inputs(sim, job);
+    run_with_inputs(sim, job, nfp::sim::Dispatch::kBlock);
     Rung r;
     r.name = "functional simulation";
     r.wall_s = wall_of(t0);

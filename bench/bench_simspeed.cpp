@@ -2,6 +2,7 @@
 // (feeds the speed axis of Fig. 1 with statistically robust numbers).
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 
 #include "board/board.h"
@@ -78,7 +79,7 @@ void BM_FunctionalSim(benchmark::State& state) {
   set_provenance(state, "block");
   run_sim(
       state, [] { return nfp::sim::FunctionalSim(); },
-      [](auto& sim) { return sim.run(kBudget); });
+      [](auto& sim) { return sim.run(kBudget, nfp::sim::Dispatch::kBlock); });
 }
 BENCHMARK(BM_FunctionalSim)->Unit(benchmark::kMillisecond);
 
@@ -106,7 +107,7 @@ void BM_IssWithCounters(benchmark::State& state) {
   set_provenance(state, "block");
   run_sim(
       state, [] { return nfp::sim::Iss(); },
-      [](auto& sim) { return sim.run(kBudget); });
+      [](auto& sim) { return sim.run(kBudget, nfp::sim::Dispatch::kBlock); });
 }
 BENCHMARK(BM_IssWithCounters)->Unit(benchmark::kMillisecond);
 
@@ -252,6 +253,74 @@ void BM_BoardFseKernel_Step(benchmark::State& state) {
   run_board_kernel(state, true, nfp::sim::Dispatch::kStep);
 }
 BENCHMARK(BM_BoardFseKernel_Step)->Unit(benchmark::kMillisecond);
+
+// ISS block-vs-jit A/B on the same two campaign kernels, cold and warm.
+// Cold builds a fresh Iss per iteration (decode, morph and jit compile on
+// every run); warm reuses one Iss, so each reload refreshes the program's
+// warm code image (sim/platform.h) as a campaign worker does.
+void run_iss_kernel(benchmark::State& state, bool fse,
+                    nfp::sim::Dispatch dispatch, bool warm) {
+  const nfp::model::KernelJob& job = campaign_kernel(fse);
+  set_provenance(state,
+                 dispatch == nfp::sim::Dispatch::kJit ? "jit" : "block",
+                 job.name + (warm ? " image=warm" : " image=cold"));
+  std::uint64_t insns = 0;
+  auto reused = std::make_unique<nfp::sim::Iss>();
+  for (auto _ : state) {
+    if (!warm) reused = std::make_unique<nfp::sim::Iss>();
+    nfp::sim::Iss& iss = *reused;
+    iss.load(job.program);
+    for (const auto& [addr, bytes] : job.inputs) {
+      iss.bus().write_block(addr, bytes.data(), bytes.size());
+    }
+    const auto result = iss.run(nfp::sim::Iss::kDefaultMaxInsns, dispatch);
+    if (!result.halted) state.SkipWithError("did not halt");
+    insns += result.instret;
+  }
+  state.counters["MIPS"] = benchmark::Counter(
+      static_cast<double>(insns) * 1e-6, benchmark::Counter::kIsRate);
+  state.SetItemsProcessed(static_cast<std::int64_t>(insns));
+}
+
+void BM_IssMvcKernel(benchmark::State& state) {
+  run_iss_kernel(state, false, nfp::sim::Dispatch::kBlock, false);
+}
+BENCHMARK(BM_IssMvcKernel)->Unit(benchmark::kMillisecond);
+
+void BM_IssMvcKernel_Jit(benchmark::State& state) {
+  run_iss_kernel(state, false, nfp::sim::Dispatch::kJit, false);
+}
+BENCHMARK(BM_IssMvcKernel_Jit)->Unit(benchmark::kMillisecond);
+
+void BM_IssMvcKernel_Warm(benchmark::State& state) {
+  run_iss_kernel(state, false, nfp::sim::Dispatch::kBlock, true);
+}
+BENCHMARK(BM_IssMvcKernel_Warm)->Unit(benchmark::kMillisecond);
+
+void BM_IssMvcKernel_JitWarm(benchmark::State& state) {
+  run_iss_kernel(state, false, nfp::sim::Dispatch::kJit, true);
+}
+BENCHMARK(BM_IssMvcKernel_JitWarm)->Unit(benchmark::kMillisecond);
+
+void BM_IssFseKernel(benchmark::State& state) {
+  run_iss_kernel(state, true, nfp::sim::Dispatch::kBlock, false);
+}
+BENCHMARK(BM_IssFseKernel)->Unit(benchmark::kMillisecond);
+
+void BM_IssFseKernel_Jit(benchmark::State& state) {
+  run_iss_kernel(state, true, nfp::sim::Dispatch::kJit, false);
+}
+BENCHMARK(BM_IssFseKernel_Jit)->Unit(benchmark::kMillisecond);
+
+void BM_IssFseKernel_Warm(benchmark::State& state) {
+  run_iss_kernel(state, true, nfp::sim::Dispatch::kBlock, true);
+}
+BENCHMARK(BM_IssFseKernel_Warm)->Unit(benchmark::kMillisecond);
+
+void BM_IssFseKernel_JitWarm(benchmark::State& state) {
+  run_iss_kernel(state, true, nfp::sim::Dispatch::kJit, true);
+}
+BENCHMARK(BM_IssFseKernel_JitWarm)->Unit(benchmark::kMillisecond);
 
 void BM_Compile(benchmark::State& state) {
   const auto abi = state.range(0) == 0 ? nfp::mcc::FloatAbi::kHard

@@ -11,14 +11,15 @@ namespace nfp::board {
 Board::Board(BoardConfig cfg)
     : cfg_(cfg),
       residuals_(cfg_, cost_),
-      hooks_(std::make_unique<BoardHooks>(cfg_, cost_, residuals_)) {}
+      hooks_(std::make_unique<BoardHooks>(cfg_, cost_, residuals_)) {
+  // Block-cost dispatch replays per-op residuals from captured operands, so
+  // every block this platform morphs, in every code image it keeps warm,
+  // uses the capture handler variants.
+  platform_.set_capture(true);
+}
 
 void Board::load(const asmkit::Program& program) {
   platform_.load(program);
-  // Block-cost dispatch replays per-op residuals from captured operands, so
-  // every block the fresh cache morphs must use the capture handler
-  // variants. load() rebuilt the cache, so no block pre-dates this.
-  platform_.block_cache()->set_capture(true);
   hooks_ = std::make_unique<BoardHooks>(cfg_, cost_, residuals_);
 }
 
@@ -164,9 +165,6 @@ void Board::restore_state(std::istream& in) {
   }
 
   sim::apply_platform_chunks(r, platform_);
-  // Same post-load invariant as load(): every block the fresh cache morphs
-  // must capture residual operands for block-cost replay.
-  platform_.block_cache()->set_capture(true);
   hooks_ = std::make_unique<BoardHooks>(cfg_, cost_, residuals_);
   hooks_->import_state(s);
 }

@@ -352,11 +352,23 @@ DiffReport run_differential(const asmkit::Program& program,
       run_mode(arena.block, program, sim::Dispatch::kBlock, stops);
   if (!compare_traces(ref, block, stops, "block", report)) return report;
 
+  sim::Iss* warm = &arena.block;
+  sim::Dispatch warm_mode = sim::Dispatch::kBlock;
   if (config.check_jit && sim::jit_available()) {
     const std::vector<Snapshot> jit =
         run_mode(arena.jit, program, sim::Dispatch::kJit, stops);
     if (!compare_traces(ref, jit, stops, "jit", report)) return report;
+    warm = &arena.jit;
+    warm_mode = sim::Dispatch::kJit;
   }
+
+  // Reload leg (always on): the same program again into the arena that just
+  // ran it, whose code image is now warm — morphed, compiled, and holding
+  // whatever code words the run overwrote. The refreshed image must
+  // reproduce the first run bit for bit.
+  const std::vector<Snapshot> reload =
+      run_mode(*warm, program, warm_mode, stops);
+  if (!compare_traces(ref, reload, stops, "reload", report)) return report;
 
   if (config.check_snapshot) {
     const std::vector<Snapshot> snap =
@@ -373,6 +385,12 @@ DiffReport run_differential(const asmkit::Program& program,
     const std::vector<BoardSnapshot> bblk = run_board_mode(
         arena.board_block, program, sim::Dispatch::kBlock, stops);
     if (!compare_board_traces(bref, bblk, stops, "board-block", report)) {
+      return report;
+    }
+    // Board reload leg: warm image, cost profiles included.
+    const std::vector<BoardSnapshot> breload = run_board_mode(
+        arena.board_block, program, sim::Dispatch::kBlock, stops);
+    if (!compare_board_traces(bref, breload, stops, "board-reload", report)) {
       return report;
     }
     if (config.check_snapshot) {

@@ -47,6 +47,10 @@ struct DiffConfig {
   // With check_board on, a board pair runs the same durable-checkpoint arm
   // against the board reference (cycles/energy/stats/activity bit-for-bit).
   bool check_snapshot = true;
+  // Not configurable: after the last functional leg (jit, else block) and
+  // after the board's block leg, the same program is reloaded into the
+  // platform that just ran it and must reproduce the run bit for bit from
+  // its warm code image (sim/platform.h).
 };
 
 // Architectural state observed at one budget stop of one mode.
@@ -72,9 +76,10 @@ struct DiffReport {
   bool step_halted = false;
 };
 
-// Reusable simulator instances (16 MiB of RAM each); Platform::load resets
-// them to a fresh-boot state, so reuse across programs is exact while
-// skipping the full-RAM re-zeroing cost. One arena per thread.
+// Reusable simulator instances (16 MiB of lazily zeroed RAM each);
+// Platform::load resets them to a fresh-boot state, so reuse across programs
+// is exact while skipping the full-RAM re-zeroing cost. One arena per
+// thread.
 struct DiffArena {
   sim::Iss step;
   sim::Iss block;

@@ -63,10 +63,11 @@ unsigned resolve_workers(unsigned requested);
 
 class Campaign {
  public:
-  // One worker's reusable simulators. Constructing a Bus zeroes 16 MiB of
-  // RAM per platform; an arena amortises that over a whole job queue —
-  // Platform::load only re-zeroes the pages the previous kernel touched, so
-  // a reused arena is observably identical to a fresh one.
+  // One worker's reusable simulators. An arena amortises set-up over a
+  // whole job queue: Platform::load only re-zeroes the pages the previous
+  // kernel touched and keeps each program's morph cache and jit code warm
+  // (sim/platform.h), yet a reused arena is observably identical to a fresh
+  // one.
   struct WorkerArena {
     explicit WorkerArena(const board::BoardConfig& cfg) : board(cfg) {}
     sim::Iss iss;
@@ -75,7 +76,8 @@ class Campaign {
 
   explicit Campaign(board::BoardConfig cfg, unsigned threads = 0);
 
-  // Dispatch mode for the board runs (the ISS always runs kBlock). Board
+  // Dispatch mode for the board runs; the ISS always runs
+  // sim::kDefaultDispatch (the jit where the host can run it). Board
   // accounting is bit-identical across modes, so this is a speed knob — the
   // default is kBlock; step is the A/B baseline surfaced on nfpc as
   // --dispatch=step. A kJit request runs (and reports) kBlock.

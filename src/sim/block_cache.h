@@ -139,10 +139,9 @@ class BlockCache {
 
   // Selects the operand-capturing morph handler variants for every block
   // morphed from now on (kBlockCost dispatch needs each record's operands
-  // in MorphCtx::cap). Must be chosen before the first lookup(); the board
-  // sets it right after its platform (re)builds the cache.
+  // in MorphCtx::cap). Must be chosen before the first lookup(); the
+  // platform sets it when it builds a code image (Platform::set_capture).
   void set_capture(bool on) { capture_ = on; }
-  bool capture() const { return capture_; }
 
   // Returns the block entered at `pc`, morphing it on first use. Returns
   // nullptr when `pc` is misaligned, outside the cached image, or when the

@@ -2,16 +2,48 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
+#define NFP_RAM_MMAP 1
+#else
+#define NFP_RAM_MMAP 0
+#endif
 
 namespace nfp::sim {
+
+// An anonymous private mapping is zero-filled on first touch by the kernel.
+// calloc is the portable fallback; large blocks come from the allocator's own
+// fresh mappings on most hosts, but it may recycle (and re-zero) heap pages.
+GuestRam::GuestRam() {
+#if NFP_RAM_MMAP
+  void* p = ::mmap(nullptr, kRamSize, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  data_ = static_cast<std::uint8_t*>(p);
+#else
+  data_ = static_cast<std::uint8_t*>(std::calloc(kRamSize, 1));
+  if (data_ == nullptr) throw std::bad_alloc();
+#endif
+}
+
+GuestRam::~GuestRam() {
+#if NFP_RAM_MMAP
+  ::munmap(data_, kRamSize);
+#else
+  std::free(data_);
+#endif
+}
 
 void Bus::write_block(std::uint32_t addr, const std::uint8_t* data,
                       std::size_t size) {
   if (!in_ram(addr) || addr - kRamBase + size > kRamSize) {
     throw_bad(addr, "host block write");
   }
-  std::memcpy(&ram_[addr - kRamBase], data, size);
+  std::memcpy(ram_.data() + (addr - kRamBase), data, size);
   if (size != 0) {
     // A bulk write can span many pages; mark every one of them.
     for (std::uint32_t page = (addr - kRamBase) >> kPageShift;
@@ -26,8 +58,8 @@ std::vector<std::uint8_t> Bus::read_block(std::uint32_t addr,
   if (!in_ram(addr) || addr - kRamBase + size > kRamSize) {
     throw_bad(addr, "host block read");
   }
-  return {ram_.begin() + (addr - kRamBase),
-          ram_.begin() + (addr - kRamBase) + size};
+  const std::uint8_t* p = ram_.data() + (addr - kRamBase);
+  return {p, p + size};
 }
 
 void Bus::write_f64(std::uint32_t addr, double value) {

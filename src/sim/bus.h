@@ -16,9 +16,26 @@ struct SimError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// Guest RAM as lazily zeroed pages: the host maps (or callocs) all 16 MiB
+// up front, but a page becomes resident only when the guest or the host
+// first writes it, so an idle or barely used platform costs almost nothing.
+class GuestRam {
+ public:
+  GuestRam();
+  ~GuestRam();
+  GuestRam(const GuestRam&) = delete;
+  GuestRam& operator=(const GuestRam&) = delete;
+
+  std::uint8_t* data() { return data_; }
+  const std::uint8_t* data() const { return data_; }
+
+ private:
+  std::uint8_t* data_;
+};
+
 class Bus {
  public:
-  Bus() : ram_(kRamSize, 0), touched_(kRamSize >> kPageShift, 0) {}
+  Bus() : touched_(kRamSize >> kPageShift, 0) {}
 
   // Time sources surfaced through the timer MMIO registers. The ISS reports
   // retired instructions; the board reports cycles.
@@ -43,7 +60,7 @@ class Bus {
 
   std::uint32_t load32(std::uint32_t addr) {
     if (in_ram(addr)) {
-      const std::uint8_t* p = &ram_[addr - kRamBase];
+      const std::uint8_t* p = ram_.data() + (addr - kRamBase);
       return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
              (std::uint32_t{p[2]} << 8) | p[3];
     }
@@ -52,18 +69,18 @@ class Bus {
 
   std::uint16_t load16(std::uint32_t addr) {
     if (!in_ram(addr)) throw_bad(addr, "halfword load");
-    const std::uint8_t* p = &ram_[addr - kRamBase];
+    const std::uint8_t* p = ram_.data() + (addr - kRamBase);
     return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
   }
 
   std::uint8_t load8(std::uint32_t addr) {
     if (!in_ram(addr)) throw_bad(addr, "byte load");
-    return ram_[addr - kRamBase];
+    return ram_.data()[addr - kRamBase];
   }
 
   void store32(std::uint32_t addr, std::uint32_t value) {
     if (in_ram(addr)) {
-      std::uint8_t* p = &ram_[addr - kRamBase];
+      std::uint8_t* p = ram_.data() + (addr - kRamBase);
       p[0] = static_cast<std::uint8_t>(value >> 24);
       p[1] = static_cast<std::uint8_t>(value >> 16);
       p[2] = static_cast<std::uint8_t>(value >> 8);
@@ -76,7 +93,7 @@ class Bus {
 
   void store16(std::uint32_t addr, std::uint16_t value) {
     if (!in_ram(addr)) throw_bad(addr, "halfword store");
-    std::uint8_t* p = &ram_[addr - kRamBase];
+    std::uint8_t* p = ram_.data() + (addr - kRamBase);
     p[0] = static_cast<std::uint8_t>(value >> 8);
     p[1] = static_cast<std::uint8_t>(value);
     touch(addr - kRamBase, 2);
@@ -84,7 +101,7 @@ class Bus {
 
   void store8(std::uint32_t addr, std::uint8_t value) {
     if (!in_ram(addr)) throw_bad(addr, "byte store");
-    ram_[addr - kRamBase] = value;
+    ram_.data()[addr - kRamBase] = value;
     touch(addr - kRamBase, 1);
   }
 
@@ -95,7 +112,7 @@ class Bus {
   void reset_touched_ram() {
     for (std::size_t page = 0; page < touched_.size(); ++page) {
       if (touched_[page]) {
-        std::fill_n(ram_.begin() + (page << kPageShift),
+        std::fill_n(ram_.data() + (page << kPageShift),
                     std::size_t{1} << kPageShift, 0);
         touched_[page] = 0;
       }
@@ -135,7 +152,7 @@ class Bus {
   void mmio_store(std::uint32_t addr, std::uint32_t value);
   [[noreturn]] static void throw_bad(std::uint32_t addr, const char* what);
 
-  std::vector<std::uint8_t> ram_;
+  GuestRam ram_;
   std::vector<std::uint8_t> touched_;
   std::string uart_;
   std::function<std::uint64_t()> time_source_;

@@ -44,6 +44,16 @@ namespace nfp::sim {
 // nfpc CLI as --dispatch={step,block,jit}).
 enum class Dispatch { kStep, kBlock, kJit };
 
+// Default tier of the batch-retire simulators (Iss, FunctionalSim). kJit is
+// always a safe request: it runs kBlock where emitted code cannot run.
+inline constexpr Dispatch kDefaultDispatch = Dispatch::kJit;
+
+// The tier a batch-retire simulator actually executes for `requested`.
+inline Dispatch resolved_dispatch(Dispatch requested) {
+  return requested == Dispatch::kJit && !jit_available() ? Dispatch::kBlock
+                                                         : requested;
+}
+
 template <class Hooks>
 class Executor {
  public:

@@ -24,8 +24,10 @@ class Iss {
     hooks_ = OpCountHooks{};  // counters belong to the loaded program
   }
 
+  // Runs on the jit by default (kDefaultDispatch; kBlock where the host
+  // cannot run emitted code). Counts are bit-identical in every mode.
   RunResult run(std::uint64_t max_insns = kDefaultMaxInsns,
-                Dispatch dispatch = Dispatch::kBlock) {
+                Dispatch dispatch = kDefaultDispatch) {
     Executor<OpCountHooks> exec(platform_.cpu(), platform_.bus(), hooks_);
     exec.set_decode_cache(platform_.code_base(), platform_.decode_cache());
     // The cache is attached in every mode so stores into code re-decode the
@@ -88,7 +90,7 @@ class FunctionalSim {
   void load(const asmkit::Program& program) { platform_.load(program); }
 
   RunResult run(std::uint64_t max_insns = Iss::kDefaultMaxInsns,
-                Dispatch dispatch = Dispatch::kBlock) {
+                Dispatch dispatch = kDefaultDispatch) {
     NullHooks hooks;
     Executor<NullHooks> exec(platform_.cpu(), platform_.bus(), hooks);
     exec.set_decode_cache(platform_.code_base(), platform_.decode_cache());

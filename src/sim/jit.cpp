@@ -17,6 +17,7 @@
 // helper is entered at the SysV-required alignment.
 #include "sim/jit.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <type_traits>
@@ -64,6 +65,7 @@ std::pair<const JitBlockMeta*, std::uint32_t> JitRuntime::take_fault() {
   return {nullptr, 0};
 }
 Block* JitRuntime::last_block() const { return nullptr; }
+void JitRuntime::forget_last_block() {}
 void JitRuntime::patch_transition(JitBlockMeta&, std::uint32_t, Block&) {}
 void JitRuntime::on_block_death(Block&) {}
 void JitRuntime::reset_code() {}
@@ -99,19 +101,19 @@ static_assert(sizeof(JitBtcSlot) == 16);
 
 namespace {
 
+// Probed once per process; the ISS runs the jit by default, so campaign
+// workers reach this concurrently and the static's initialisation is the
+// only synchronisation it needs.
 bool probe_exec_pages() {
-  static int result = -1;
-  if (result < 0) {
+  static const bool ok = [] {
     void* p = ::mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) {
-      result = 0;
-    } else {
-      result = ::mprotect(p, 4096, PROT_READ | PROT_EXEC) == 0 ? 1 : 0;
-      ::munmap(p, 4096);
-    }
-  }
-  return result == 1;
+    if (p == MAP_FAILED) return false;
+    const bool exec = ::mprotect(p, 4096, PROT_READ | PROT_EXEC) == 0;
+    ::munmap(p, 4096);
+    return exec;
+  }();
+  return ok;
 }
 
 }  // namespace
@@ -941,17 +943,29 @@ struct JitRuntime::Impl {
     return true;
   }
 
-  void make_rw() { ::mprotect(base, size, PROT_READ | PROT_WRITE); }
-  void make_rx() { ::mprotect(base, size, PROT_READ | PROT_EXEC); }
+  // W^X flips cover only the pages holding [lo, hi): a flip over the whole
+  // arena costs a page-table walk of all 16 MiB per compiled block.
+  void protect(std::size_t lo, std::size_t hi, int prot) {
+    const std::size_t page = 4096;
+    lo &= ~(page - 1);
+    hi = (hi + page - 1) & ~(page - 1);
+    ::mprotect(base + lo, hi - lo, prot);
+  }
+  void make_rw(std::size_t lo, std::size_t hi) {
+    protect(lo, hi, PROT_READ | PROT_WRITE);
+  }
+  void make_rx(std::size_t lo, std::size_t hi) {
+    protect(lo, hi, PROT_READ | PROT_EXEC);
+  }
 
   // Appends emitted bytes (16-aligned) and restores RX. Returns the arena
   // offset, or kFull when exhausted.
   std::uint32_t commit(const asmkit::x64::Emitter& e) {
     const std::size_t at = (used + 15) & ~std::size_t{15};
     if (at + e.size() > size) return kFull;
-    make_rw();
+    make_rw(at, at + e.size());
     std::memcpy(base + at, e.data(), e.size());
-    make_rx();
+    make_rx(at, at + e.size());
     used = at + e.size();
     return static_cast<std::uint32_t>(at);
   }
@@ -1053,8 +1067,17 @@ Block::JitState JitRuntime::ensure_compiled(Block& b) {
   BlockCompiler comp(cache_, b, meta.get(), rt_.counts != nullptr,
                      g_jit_inline_btc);
   std::uint32_t off = Impl::kFull;
-  if (comp.compile()) off = impl_->commit(comp.emitter());
-  if (off == Impl::kFull) {  // untemplatable block or arena exhausted
+  if (comp.compile()) {
+    off = impl_->commit(comp.emitter());
+    if (off == Impl::kFull && !metas_.empty()) {
+      // Arena exhausted: a cache that lives across many loads of
+      // self-modifying programs accumulates dead code. Start over; only the
+      // host loop runs here, so no emitted code is in flight.
+      reset_code();
+      off = impl_->commit(comp.emitter());
+    }
+  }
+  if (off == Impl::kFull) {  // untemplatable block or oversized
     ++stats_.blocks_rejected;
     b.jit_state = Block::JitState::kRejected;
     return b.jit_state;
@@ -1090,6 +1113,8 @@ std::pair<const JitBlockMeta*, std::uint32_t> JitRuntime::take_fault() {
   return {meta, idx};
 }
 
+void JitRuntime::forget_last_block() { rt_.cur_meta = nullptr; }
+
 Block* JitRuntime::last_block() const {
   const auto* meta = static_cast<const JitBlockMeta*>(rt_.cur_meta);
   if (meta == nullptr || meta->dead) return nullptr;
@@ -1103,11 +1128,11 @@ void JitRuntime::patch_transition(JitBlockMeta& from, std::uint32_t pc,
   for (std::uint32_t i = 0; i < from.exits.size(); ++i) {
     JitExit& exit = from.exits[i];
     if (exit.exit_pc != pc || exit.patched_to != nullptr) continue;
-    impl_->make_rw();
+    impl_->make_rw(exit.patch_off, exit.patch_off + 4);
     impl_->write_rel32(exit.patch_off,
                        static_cast<std::int32_t>(tm->entry_off) -
                            static_cast<std::int32_t>(exit.patch_off + 4));
-    impl_->make_rx();
+    impl_->make_rx(exit.patch_off, exit.patch_off + 4);
     exit.patched_to = &to;
     tm->incoming.emplace_back(&from, i);
     ++stats_.patches;
@@ -1119,7 +1144,18 @@ void JitRuntime::on_block_death(Block& b) {
   JitBlockMeta* m = b.jit_meta;
   if (m == nullptr || m->dead) return;
   m->dead = true;
-  impl_->make_rw();
+  // One W^X flip over the span of every rel32 field rewritten below.
+  std::size_t lo = impl_->size;
+  std::size_t hi = 0;
+  const auto span = [&lo, &hi](std::uint32_t off) {
+    lo = std::min<std::size_t>(lo, off);
+    hi = std::max<std::size_t>(hi, off + 4);
+  };
+  for (const auto& [src, idx] : m->incoming) span(src->exits[idx].patch_off);
+  for (const JitExit& exit : m->exits) {
+    if (exit.patched_to != nullptr) span(exit.patch_off);
+  }
+  if (lo < hi) impl_->make_rw(lo, hi);
   // Withdraw every patched jump INTO the dying code: a live predecessor must
   // fall back to its exit stub (and thence the host) instead of entering a
   // stale trace.
@@ -1153,7 +1189,7 @@ void JitRuntime::on_block_death(Block& b) {
     exit.patched_to = nullptr;
     ++stats_.unpatches;
   }
-  impl_->make_rx();
+  if (lo < hi) impl_->make_rx(lo, hi);
   // Withdraw inline-BTC entries targeting the dying code (the table lives
   // in plain heap memory; no protection bracket needed).
   const std::uint64_t dead_entry =

@@ -146,6 +146,10 @@ class JitRuntime {
   // The last block whose prologue ran (native runs leave it in rt_.cur_meta);
   // the host loop uses it as the source side of transition patching.
   Block* last_block() const;
+  // Clears that latch. The platform calls it whenever it re-attaches this
+  // runtime's code image to a fresh load or restore, so no transition is
+  // ever patched from a block that ran before the machine state changed.
+  void forget_last_block();
 
   // Patches `from`'s exit with exit_pc == pc to jump straight into `to`'s
   // emitted entry. No-op if no such exit exists or it is already patched.

@@ -5,7 +5,6 @@
 #include <istream>
 #include <ostream>
 
-#include "isa/decode.h"
 #include "sim/digest.h"
 #include "sim/memmap.h"
 #include "sim/platform.h"
@@ -424,11 +423,10 @@ void apply_platform_chunks(const StateReader& r, Platform& p) {
   }
 
   // Apply phase: mirrors Platform::load but sources the image from the
-  // snapshot's dirty pages (which include every self-modified code word),
-  // then rebuilds the decode cache from restored RAM so the predecoded view
-  // matches memory exactly.
-  const bool capture = p.bcache_ != nullptr && p.bcache_->capture();
-  p.bcache_.reset();
+  // snapshot's dirty pages (which include every self-modified code word).
+  // The code image is then attached against restored RAM, so the predecoded
+  // view matches memory exactly: a warm image of the same program sends
+  // every differing word through invalidation, a cold one decodes afresh.
   p.bus_.reset_touched_ram();
   p.bus_.clear_uart();
   for (const Page& pg : pages) {
@@ -440,15 +438,7 @@ void apply_platform_chunks(const StateReader& r, Platform& p) {
   p.code_base_ = prog.base();
   p.text_size_ = prog.text_size();
   p.program_ = std::move(prog);
-  const std::size_t words = p.program_.size() / 4;
-  p.dcache_.clear();
-  p.dcache_.reserve(words);
-  for (std::size_t i = 0; i < words; ++i) {
-    p.dcache_.push_back(isa::decode(p.bus_.load32(
-        p.code_base_ + static_cast<std::uint32_t>(i) * 4)));
-  }
-  p.bcache_ = std::make_unique<BlockCache>(p.bus_, p.code_base_, p.dcache_);
-  p.bcache_->set_capture(capture);
+  p.attach_image(p.program_);
   p.cpu_ = cpu;
 }
 

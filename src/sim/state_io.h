@@ -13,11 +13,13 @@
 // structure, version, checksums, chunk tags, payload shapes — and decoded
 // into locals before a single byte of target state is mutated. Any error
 // throws a StateError carrying a structured code and leaves the target
-// exactly as it was. Applying a snapshot drops every derived cache (morph
-// cache, JIT arena and its branch-target cache, block cost profiles): a
-// resumed run re-warms them from scratch but retires bit-for-bit identically
-// to the uninterrupted run, which the fuzz oracle's snapshot leg and the
-// directed resume battery hold in place.
+// exactly as it was. Applying a snapshot re-attaches the platform's code
+// image for the snapshot's program (sim/platform.h): a warm image keeps its
+// morph cache, jit code and block cost profiles, and every word whose
+// restored bytes differ from what it decoded is invalidated first; an
+// unknown program starts cold. Either way the resumed run retires
+// bit-for-bit identically to the uninterrupted run, which the fuzz
+// oracle's snapshot leg and the directed resume battery hold in place.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "sim/platform.h"
+
 namespace nfp::sim {
 namespace {
 
@@ -53,6 +60,38 @@ TEST(Bus, OutOfRangeAccessThrows) {
   EXPECT_THROW(bus.store32(0x90000000u, 1), SimError);
   EXPECT_THROW(bus.write_block(kRamEnd - 2, nullptr, 4), SimError);
 }
+
+#if defined(__linux__)
+// Resident set size of this process in KiB, from /proc/self/status.
+long vm_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      long kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(1 << 16, '\n');
+  }
+  return -1;
+}
+
+TEST(Bus, GuestRamIsNotResidentUntilTouched) {
+  // Eager zero-fill made each platform's 16 MiB resident at construction
+  // (128 MiB for these eight); lazily zeroed pages cost nothing until used.
+  const long before = vm_rss_kib();
+  ASSERT_GT(before, 0);
+  std::vector<std::unique_ptr<Platform>> platforms;
+  for (int i = 0; i < 8; ++i) platforms.push_back(std::make_unique<Platform>());
+  const long rise = vm_rss_kib() - before;
+  EXPECT_LT(rise, 16 * 1024) << "VmRSS rose by " << rise << " KiB";
+  for (auto& p : platforms) {
+    p->bus().store32(kInputBase, 1);
+    EXPECT_EQ(p->bus().load32(kInputBase + 4096), 0u);
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace nfp::sim

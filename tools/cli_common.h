@@ -42,7 +42,8 @@ inline const char* dispatch_name(sim::Dispatch dispatch) {
 // the backend compiled out) falls back to kBlock, warning once on stderr.
 inline sim::Dispatch effective_dispatch(sim::Dispatch requested,
                                         const char* tool) {
-  if (requested == sim::Dispatch::kJit && !sim::jit_available()) {
+  const sim::Dispatch runs = sim::resolved_dispatch(requested);
+  if (runs != requested) {
     static bool warned = false;
     if (!warned) {
       warned = true;
@@ -51,9 +52,8 @@ inline sim::Dispatch effective_dispatch(sim::Dispatch requested,
                    "falling back to block\n",
                    tool);
     }
-    return sim::Dispatch::kBlock;
   }
-  return requested;
+  return runs;
 }
 
 // Result of matching one argv slot against a value-taking flag.

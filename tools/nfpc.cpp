@@ -14,10 +14,11 @@
 //                       events and time-proxy read board-side counters, so
 //                       they require --board
 //     --counts          print per-category instruction counts
-//     --dispatch=MODE   simulator dispatch: block (superblock morph cache,
-//                       default), jit (x86-64 template JIT above the morph
-//                       cache; falls back to block on unsupported hosts),
-//                       or step (per-instruction switch); applies to the
+//     --dispatch=MODE   simulator dispatch: jit (x86-64 template JIT above
+//                       the morph cache, default; falls back to block on
+//                       unsupported hosts, warning only when requested
+//                       explicitly), block (superblock morph cache), or
+//                       step (per-instruction switch); applies to the
 //                       ISS run and to the --board run (board accounting
 //                       is bit-identical across modes; the board has no
 //                       jit tier, so under jit it runs block)
@@ -115,7 +116,10 @@ void print_jit_stats(nfp::sim::BlockCache* cache) {
 int main(int argc, char** argv) {
   bool soft = false, want_asm = false, want_estimate = false;
   bool want_board = false, want_counts = false, want_sim_stats = false;
-  nfp::sim::Dispatch dispatch = nfp::sim::Dispatch::kBlock;
+  // Without --dispatch the ISS runs the library default, silently on the
+  // tier the host supports; the "dispatch ...:" line names that tier.
+  nfp::sim::Dispatch dispatch =
+      nfp::sim::resolved_dispatch(nfp::sim::kDefaultDispatch);
   std::size_t trace_limit = 0;
   bool have_seed = false;
   std::uint32_t seed = 0;
