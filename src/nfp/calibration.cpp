@@ -205,6 +205,46 @@ std::string make_source(const Recipe& recipe, std::uint32_t loops,
   return src;
 }
 
+// The Table-II ref/test source pair for one recipe under `plan`.
+KernelPair make_pair(const std::string& category, const Recipe& recipe,
+                     const CalibrationPlan& plan) {
+  KernelPair pair;
+  pair.category = category;
+  pair.ref_asm = make_source(recipe, plan.loops, plan.per_loop, false);
+  pair.test_asm = make_source(recipe, plan.loops, plan.per_loop, true);
+  pair.n_test = std::uint64_t{plan.loops} * plan.per_loop;
+  return pair;
+}
+
+// One calibration kernel's bench reading plus the features a scheme may
+// draw from the run.
+struct KernelReading {
+  board::Measurement meas;
+  RunSample sample;
+};
+
+// Assembles and runs the ref or test kernel of `pair` on a fresh board (so
+// no run inherits cache, SDRAM or meter state from another) and measures it
+// under the tag "cal/<category>/<ref|test>".
+KernelReading run_kernel(const board::BoardConfig& cfg, const KernelPair& pair,
+                         bool is_test) {
+  board::Board brd(cfg);
+  brd.load(asmkit::assemble(is_test ? pair.test_asm : pair.ref_asm,
+                            sim::kTextBase));
+  const auto run_result = brd.run();
+  if (!run_result.halted) {
+    throw std::runtime_error("calibration kernel did not halt: " +
+                             pair.category);
+  }
+  KernelReading out;
+  out.meas = brd.measure("cal/" + pair.category + (is_test ? "/test" : "/ref"));
+  out.sample.counts = brd.op_counts();
+  out.sample.instret = run_result.instret;
+  out.sample.events = brd.events();
+  out.sample.measured_time_s = out.meas.time_s;
+  return out;
+}
+
 // Ridge-regularized least squares over the calibration samples, solved via
 // column-scaled normal equations with Gaussian elimination (partial
 // pivoting). All-zero feature columns (e.g. cache counters on a cache-less
@@ -294,13 +334,7 @@ Calibrator::Calibrator(const CategoryScheme& scheme, CalibrationPlan plan)
 
 KernelPair Calibrator::make_kernels(std::size_t category) const {
   const std::string& name = scheme_.category_name(category);
-  const Recipe recipe = recipe_for(name);
-  KernelPair pair;
-  pair.category = name;
-  pair.ref_asm = make_source(recipe, plan_.loops, plan_.per_loop, false);
-  pair.test_asm = make_source(recipe, plan_.loops, plan_.per_loop, true);
-  pair.n_test = std::uint64_t{plan_.loops} * plan_.per_loop;
-  return pair;
+  return make_pair(name, recipe_for(name), plan_);
 }
 
 CalibrationResult Calibrator::run(
@@ -316,28 +350,16 @@ CalibrationResult Calibrator::run(
     if (recipe.uses_fpu && !cfg.has_fpu) continue;      // not calibratable
     if (recipe.uses_muldiv && !cfg.has_hw_muldiv) continue;
 
-    const KernelPair pair = make_kernels(c);
+    const KernelPair pair = make_pair(name, recipe, plan_);
     CategoryCalibration detail;
     detail.category = name;
 
-    for (const bool is_test : {false, true}) {
-      board::Board brd(cfg);
-      brd.load(asmkit::assemble(is_test ? pair.test_asm : pair.ref_asm,
-                                sim::kTextBase));
-      const auto run_result = brd.run();
-      if (!run_result.halted) {
-        throw std::runtime_error("calibration kernel did not halt: " + name);
-      }
-      const auto meas =
-          brd.measure("cal/" + name + (is_test ? "/test" : "/ref"));
-      if (is_test) {
-        detail.e_test_nj = meas.energy_nj;
-        detail.t_test_s = meas.time_s;
-      } else {
-        detail.e_ref_nj = meas.energy_nj;
-        detail.t_ref_s = meas.time_s;
-      }
-    }
+    const board::Measurement ref = run_kernel(cfg, pair, false).meas;
+    const board::Measurement test = run_kernel(cfg, pair, true).meas;
+    detail.e_ref_nj = ref.energy_nj;
+    detail.t_ref_s = ref.time_s;
+    detail.e_test_nj = test.energy_nj;
+    detail.t_test_s = test.time_s;
 
     const auto n = static_cast<double>(pair.n_test);
     detail.specific_energy_nj = (detail.e_test_nj - detail.e_ref_nj) / n;
@@ -431,43 +453,18 @@ SchemeCalibration Calibrator::fit(const Estimator& estimator,
     if (recipe.uses_fpu && !cfg.has_fpu) continue;
     if (recipe.uses_muldiv && !cfg.has_hw_muldiv) continue;
 
-    KernelPair pair;
-    if (extra) {
-      pair.category = name;
-      pair.ref_asm = make_source(recipe, plan_.loops, plan_.per_loop, false);
-      pair.test_asm = make_source(recipe, plan_.loops, plan_.per_loop, true);
-      pair.n_test = std::uint64_t{plan_.loops} * plan_.per_loop;
-    } else {
-      pair = make_kernels(c);
-    }
-    std::vector<double> features_ref, features_test;
-    double de = 0.0, dt_s = 0.0;
-    for (const bool is_test : {false, true}) {
-      board::Board brd(cfg);
-      brd.load(asmkit::assemble(is_test ? pair.test_asm : pair.ref_asm,
-                                sim::kTextBase));
-      const auto run_result = brd.run();
-      if (!run_result.halted) {
-        throw std::runtime_error("calibration kernel did not halt: " + name);
-      }
-      const auto meas =
-          brd.measure("cal/" + name + (is_test ? "/test" : "/ref"));
-      RunSample sample;
-      sample.counts = brd.op_counts();
-      sample.instret = run_result.instret;
-      sample.events = brd.events();
-      sample.measured_time_s = meas.time_s;
-      (is_test ? features_test : features_ref) = estimator.features(sample);
-      de += is_test ? meas.energy_nj : -meas.energy_nj;
-      dt_s += is_test ? meas.time_s : -meas.time_s;
-    }
+    const KernelPair pair = make_pair(name, recipe, plan_);
+    const KernelReading ref = run_kernel(cfg, pair, false);
+    const KernelReading test = run_kernel(cfg, pair, true);
+    const std::vector<double> features_ref = estimator.features(ref.sample);
+    const std::vector<double> features_test = estimator.features(test.sample);
     std::vector<double> delta(features_test.size(), 0.0);
     for (std::size_t j = 0; j < delta.size(); ++j) {
       delta[j] = features_test[j] - features_ref[j];
     }
     rows.push_back(std::move(delta));
-    energy_nj.push_back(de);
-    time_ns.push_back(dt_s * 1e9);
+    energy_nj.push_back(test.meas.energy_nj - ref.meas.energy_nj);
+    time_ns.push_back((test.meas.time_s - ref.meas.time_s) * 1e9);
   }
   out.samples = rows.size();
   out.costs.energy_nj = fit_least_squares(rows, energy_nj);

@@ -1,7 +1,11 @@
-// Measurement campaign: run a set of kernels on the ISS (instruction counts)
-// and on the measurement board (ground truth + bench measurement), in
-// parallel across kernels. This is the machinery behind Fig. 4 and
-// Table III, where 120 kernels are evaluated.
+// Measurement campaign: the per-kernel job and record types, and Campaign,
+// the batch front that runs a job set to completion and returns the records
+// in job order. This is the machinery behind Fig. 4 and Table III, where
+// 120 kernels are evaluated.
+//
+// Campaign has no pipeline of its own: each run is one CampaignService
+// (nfp/service.h) with calibration off, which counts every kernel on the
+// ISS and then measures it on the board.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +25,13 @@ struct KernelJob {
   asmkit::Program program;
   // Input blocks written into RAM before the run (address, payload).
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> inputs;
+  // Total retirement budget per platform; exceeding it without halting
+  // fails the job.
+  std::uint64_t max_insns = board::Board::kDefaultMaxInsns;
+  // Preemption grain for CampaignService: > 0 checkpoints and re-queues the
+  // job after every `slice_insns` retired instructions (per platform
+  // phase); 0 runs each phase to completion in one slice.
+  std::uint64_t slice_insns = 0;
 };
 
 struct KernelRunRecord {
@@ -55,15 +66,9 @@ inline RunSample run_sample(const KernelRunRecord& rec) {
   return s;
 }
 
-// Worker count for a `requested` fleet size: `requested` itself when
-// nonzero, else min(hardware_concurrency, 8), or 2 when the host does not
-// report its CPU count. Each worker holds two 16 MiB platforms, hence the
-// cap. Shared by Campaign and CampaignService.
-unsigned resolve_workers(unsigned requested);
-
 class Campaign {
  public:
-  // One worker's reusable simulators. An arena amortises set-up over a
+  // One service worker's reusable simulators. An arena amortises set-up over a
   // whole job queue: Platform::load only re-zeroes the pages the previous
   // kernel touched and keeps each program's morph cache and jit code warm
   // (sim/platform.h), yet a reused arena is observably identical to a fresh
@@ -74,29 +79,20 @@ class Campaign {
     board::Board board;
   };
 
+  // `threads` is the worker cap (0 = resolve_workers(0), nfp/service.h).
   explicit Campaign(board::BoardConfig cfg, unsigned threads = 0);
 
-  // Dispatch mode for the board runs; the ISS always runs
-  // sim::kDefaultDispatch (the jit where the host can run it). Board
-  // accounting is bit-identical across modes, so this is a speed knob — the
-  // default is kBlock; step is the A/B baseline surfaced on nfpc as
-  // --dispatch=step. A kJit request runs (and reports) kBlock.
-  void set_board_dispatch(sim::Dispatch dispatch) {
-    dispatch_ = board::Board::effective_dispatch(dispatch);
-  }
-  sim::Dispatch board_dispatch() const { return dispatch_; }
-
-  // Runs every job on both platforms. Results keep the job order.
+  // Runs every job on both platforms through a CampaignService with
+  // min(threads, jobs) workers, the ISS on sim::kDefaultDispatch and the
+  // board on kBlock. Results keep the job order.
   std::vector<KernelRunRecord> run(const std::vector<KernelJob>& jobs) const;
 
-  // Single-job convenience (also used by tests). Builds a throwaway arena.
+  // Single-job convenience: run({job})[0].
   KernelRunRecord run_one(const KernelJob& job) const;
-  KernelRunRecord run_one(const KernelJob& job, WorkerArena& arena) const;
 
  private:
   board::BoardConfig cfg_;
   unsigned threads_;
-  sim::Dispatch dispatch_ = sim::Dispatch::kBlock;
 };
 
 }  // namespace nfp::model

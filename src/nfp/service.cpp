@@ -7,6 +7,12 @@
 
 namespace nfp::model {
 
+unsigned resolve_workers(unsigned requested) {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 2 : std::min(hw, 8u);
+}
+
 CampaignService::CampaignService(ServiceConfig cfg)
     : cfg_(std::move(cfg)),
       estimator_(find_estimator(cfg_.scheme)),
@@ -122,44 +128,50 @@ bool CampaignService::pop_job(unsigned self, PendingJob& out) {
   return false;
 }
 
+template <typename Platform>
+sim::RunResult CampaignService::run_phase(Platform& platform, PendingJob& pj,
+                                          sim::Dispatch dispatch,
+                                          const char* budget_error,
+                                          ServiceStats& delta) {
+  const ServiceJob& job = pj.job;
+  if (pj.checkpoint.empty()) {
+    platform.load(job.program);
+    for (const auto& [addr, bytes] : job.inputs) {
+      platform.bus().write_block(addr, bytes.data(), bytes.size());
+    }
+  } else {
+    std::istringstream in(std::move(pj.checkpoint));
+    platform.restore_state(in);
+    pj.checkpoint.clear();
+    ++delta.resumes;
+  }
+  const std::uint64_t done = platform.cpu().instret;
+  std::uint64_t budget = job.max_insns > done ? job.max_insns - done : 0;
+  if (job.slice_insns > 0) budget = std::min(budget, job.slice_insns);
+  const sim::RunResult r = platform.run(budget, dispatch);
+  if (!r.halted) {
+    if (r.instret >= job.max_insns) throw std::runtime_error(budget_error);
+    std::ostringstream out;
+    platform.save_state(out);
+    pj.checkpoint = std::move(out).str();
+    ++pj.checkpoints;
+    ++delta.checkpoints;
+    delta.checkpoint_bytes += pj.checkpoint.size();
+  }
+  return r;
+}
+
 bool CampaignService::run_slice(PendingJob& pj, Campaign::WorkerArena& arena,
                                 ServiceStats& delta) {
   ++pj.slices;
   ++delta.slices;
-  const ServiceJob& job = pj.job;
 
   if (pj.phase == Phase::kIss) {
-    sim::Iss& iss = arena.iss;
-    if (pj.checkpoint.empty()) {
-      iss.load(job.program);
-      for (const auto& [addr, bytes] : job.inputs) {
-        iss.bus().write_block(addr, bytes.data(), bytes.size());
-      }
-    } else {
-      std::istringstream in(std::move(pj.checkpoint));
-      iss.restore_state(in);
-      pj.checkpoint.clear();
-      ++delta.resumes;
-    }
-    const std::uint64_t done = iss.cpu().instret;
-    const std::uint64_t remaining =
-        job.max_insns > done ? job.max_insns - done : 0;
-    std::uint64_t budget = remaining;
-    if (job.slice_insns > 0) budget = std::min(budget, job.slice_insns);
-    const auto r = iss.run(budget);
-    if (!r.halted) {
-      if (r.instret >= job.max_insns) {
-        throw std::runtime_error("ISS run did not halt (instruction budget)");
-      }
-      std::ostringstream out;
-      iss.save_state(out);
-      pj.checkpoint = std::move(out).str();
-      ++pj.checkpoints;
-      ++delta.checkpoints;
-      delta.checkpoint_bytes += pj.checkpoint.size();
-      return false;
-    }
-    pj.rec.counts = iss.counters().counts;
+    const auto r =
+        run_phase(arena.iss, pj, sim::kDefaultDispatch,
+                  "ISS run did not halt (instruction budget)", delta);
+    if (!r.halted) return false;
+    pj.rec.counts = arena.iss.counters().counts;
     pj.rec.instret = r.instret;
     pj.rec.exit_code = r.exit_code;
     // Phase switch is itself a preemption point: the board run starts cold
@@ -169,41 +181,15 @@ bool CampaignService::run_slice(PendingJob& pj, Campaign::WorkerArena& arena,
   }
 
   board::Board& brd = arena.board;
-  if (pj.checkpoint.empty()) {
-    brd.load(job.program);
-    for (const auto& [addr, bytes] : job.inputs) {
-      brd.bus().write_block(addr, bytes.data(), bytes.size());
-    }
-  } else {
-    std::istringstream in(std::move(pj.checkpoint));
-    brd.restore_state(in);
-    pj.checkpoint.clear();
-    ++delta.resumes;
-  }
-  const std::uint64_t done = brd.cpu().instret;
-  const std::uint64_t remaining =
-      job.max_insns > done ? job.max_insns - done : 0;
-  std::uint64_t budget = remaining;
-  if (job.slice_insns > 0) budget = std::min(budget, job.slice_insns);
-  const auto r = brd.run(budget, dispatch_);
-  if (!r.halted) {
-    if (r.instret >= job.max_insns) {
-      throw std::runtime_error("board run did not halt");
-    }
-    std::ostringstream out;
-    brd.save_state(out);
-    pj.checkpoint = std::move(out).str();
-    ++pj.checkpoints;
-    ++delta.checkpoints;
-    delta.checkpoint_bytes += pj.checkpoint.size();
-    return false;
-  }
+  const auto r =
+      run_phase(brd, pj, dispatch_, "board run did not halt", delta);
+  if (!r.halted) return false;
   if (r.instret != pj.rec.instret) {
     // The estimator multiplies ISS counts with board-calibrated costs;
     // diverging instruction streams would invalidate the experiment.
     throw std::runtime_error("ISS/board instruction streams diverged");
   }
-  pj.rec.measured = brd.measure(job.name);
+  pj.rec.measured = brd.measure(pj.job.name);
   pj.rec.events = brd.events();
   pj.rec.cycles = brd.cycles();
   pj.rec.true_energy_nj = brd.true_energy_nj();
@@ -272,8 +258,9 @@ void CampaignService::worker_main(unsigned self) {
       continue;
     }
     ++stats_.jobs_completed;
-    results_[static_cast<std::size_t>(res.id)] = std::move(res);
-    have_result_[static_cast<std::size_t>(res.id)] = true;
+    const auto slot = static_cast<std::size_t>(res.id);
+    results_[slot] = std::move(res);
+    have_result_[slot] = true;
     ++completed_;
     done_cv_.notify_all();
   }

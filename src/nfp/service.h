@@ -1,9 +1,9 @@
-// Sharded estimation campaign service: a library-level job queue that
-// accepts estimation jobs (kernel program + inputs + budget), shards them
-// across persistent worker threads with work stealing, and streams results
-// as they complete.
-//
-// Two things distinguish it from the batch Campaign loop (nfp/campaign.h):
+// Sharded estimation campaign service: the only code that runs kernel jobs
+// through the paper's per-kernel pipeline (count on the ISS, measure on the
+// board, estimate with Eq. 1). It accepts jobs (kernel program + inputs +
+// budget), shards them across persistent worker threads with work
+// stealing, and streams results as they complete. The batch Campaign front
+// (nfp/campaign.h) is one service instance with calibration off.
 //
 //  - Long jobs are preemptible. A job with `slice_insns > 0` is paused at
 //    every slice boundary, checkpointed through the versioned snapshot
@@ -14,8 +14,8 @@
 //    like an uninterrupted one: same counts, cycles, energy (bit-for-bit).
 //
 //  - Results can stream. A sink callback receives each ServiceResult the
-//    moment its job finishes (out of submit order); take_results() returns
-//    the stable submit-order view afterwards. result_json_line() renders a
+//    moment its job finishes (out of submit order); results() returns the
+//    stable submit-order view afterwards. result_json_line() renders a
 //    result as one JSON-lines record for piping (tools/nfpd).
 //
 // Estimates reuse one warm calibration table: the first job that needs it
@@ -40,18 +40,14 @@
 
 namespace nfp::model {
 
-struct ServiceJob {
-  std::string name;
-  asmkit::Program program;
-  // Input blocks written into RAM before the first slice (address, payload).
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> inputs;
-  // Total retirement budget; exceeding it without halting fails the job.
-  std::uint64_t max_insns = board::Board::kDefaultMaxInsns;
-  // Preemption grain: > 0 checkpoints and re-queues the job after every
-  // `slice_insns` retired instructions (per platform phase); 0 runs each
-  // phase to completion in one slice.
-  std::uint64_t slice_insns = 0;
-};
+// The service runs the campaign's job type (budget and slice grain included).
+using ServiceJob = KernelJob;
+
+// Worker count for a `requested` fleet size: `requested` itself when
+// nonzero, else min(hardware_concurrency, 8), or 2 when the host does not
+// report its CPU count. Each worker holds two 16 MiB platforms, hence the
+// cap.
+unsigned resolve_workers(unsigned requested);
 
 struct ServiceResult {
   std::uint64_t id = 0;  // submit order, dense from 0
@@ -77,7 +73,7 @@ struct ServiceStats {
 
 struct ServiceConfig {
   board::BoardConfig board;
-  // Worker thread count; 0 = resolve_workers(0) (nfp/campaign.h):
+  // Worker thread count; 0 = resolve_workers(0):
   // min(hardware_concurrency, 8), so 1 on a 1-CPU host.
   unsigned workers = 0;
   // Board dispatch; unset = kBlock, and a kJit request runs (and is
@@ -155,6 +151,14 @@ class CampaignService {
   // re-queued. `delta` collects slice/checkpoint accounting for stats_.
   bool run_slice(PendingJob& pj, Campaign::WorkerArena& arena,
                  ServiceStats& delta);
+  // The phase-independent part of a slice on `platform` (sim::Iss or
+  // board::Board): load-or-restore, run up to min(remaining budget, slice),
+  // then checkpoint the job, or throw `budget_error` once max_insns is
+  // spent. A result with halted == false means the job was checkpointed.
+  template <typename Platform>
+  sim::RunResult run_phase(Platform& platform, PendingJob& pj,
+                           sim::Dispatch dispatch, const char* budget_error,
+                           ServiceStats& delta);
   void ensure_calibrated();
 
   ServiceConfig cfg_;

@@ -1,4 +1,5 @@
-// Measurement campaign: parallel execution, determinism, error isolation.
+// Batch campaign front: job order, determinism across worker counts, error
+// isolation, and the per-job instruction budget.
 #include "nfp/campaign.h"
 
 #include <gtest/gtest.h>
@@ -60,40 +61,6 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(Campaign, BlockDispatchMatchesStepBitForBit) {
-  // The campaign's default board dispatch is kBlock; a campaign pinned to
-  // per-instruction stepping must reproduce every record exactly (measured
-  // energy/time compare bit-for-bit, not approximately).
-  std::vector<KernelJob> jobs;
-  for (int i = 0; i < 6; ++i) {
-    jobs.push_back(loop_job("disp" + std::to_string(i), 150 + i * 40));
-  }
-  Campaign block_campaign(board::BoardConfig{}, 2);
-  Campaign step_campaign(board::BoardConfig{}, 2);
-  step_campaign.set_board_dispatch(sim::Dispatch::kStep);
-  const auto block = block_campaign.run(jobs);
-  const auto step = step_campaign.run(jobs);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_TRUE(step[i].ok) << step[i].error;
-    EXPECT_EQ(step[i].instret, block[i].instret);
-    EXPECT_EQ(step[i].cycles, block[i].cycles);
-    EXPECT_EQ(step[i].measured.energy_nj, block[i].measured.energy_nj);
-    EXPECT_EQ(step[i].measured.time_s, block[i].measured.time_s);
-    EXPECT_EQ(step[i].counts, block[i].counts);
-  }
-}
-
-TEST(Campaign, BoardDispatchDefaultsToBlockEvenWhereJitRuns) {
-  // The default is a constant, not a jit-availability probe, and a kJit
-  // request reports the mode the board actually runs.
-  Campaign campaign(board::BoardConfig{}, 1);
-  EXPECT_EQ(campaign.board_dispatch(), sim::Dispatch::kBlock);
-  campaign.set_board_dispatch(sim::Dispatch::kJit);
-  EXPECT_EQ(campaign.board_dispatch(), sim::Dispatch::kBlock);
-  campaign.set_board_dispatch(sim::Dispatch::kStep);
-  EXPECT_EQ(campaign.board_dispatch(), sim::Dispatch::kStep);
-}
-
 TEST(Campaign, FailingKernelIsIsolated) {
   std::vector<KernelJob> jobs;
   jobs.push_back(loop_job("good", 100));
@@ -114,14 +81,20 @@ _start: .word 0
 }
 
 TEST(Campaign, RunawayKernelReportsBudgetFailure) {
+  // A kernel that never halts must fail on its job's budget, not hang.
   KernelJob runaway;
   runaway.name = "runaway";
   runaway.program = asmkit::assemble("_start: ba _start\n nop\n",
                                      sim::kTextBase);
-  // Intercept via the ISS budget (campaign uses the default); the run must
-  // not hang: use a tiny program budget through a direct run_one.
-  // (The default budget is deliberately huge; here we just check the error
-  // propagation path with an illegal-memory kernel instead.)
+  runaway.max_insns = 10'000;
+  const auto rec = Campaign(board::BoardConfig{}, 1).run_one(runaway);
+  EXPECT_FALSE(rec.ok);
+  EXPECT_NE(rec.error.find("did not halt (instruction budget)"),
+            std::string::npos)
+      << rec.error;
+}
+
+TEST(Campaign, BusErrorIsReportedAsFailure) {
   KernelJob bad_mem;
   bad_mem.name = "bad-mem";
   bad_mem.program = asmkit::assemble(R"(

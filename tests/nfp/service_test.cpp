@@ -1,7 +1,7 @@
 // Sharded campaign service: deterministic sharded draining at any worker
 // count, preempt/checkpoint/resume bit-identity (through sim/state_io.h
-// snapshots), work stealing, failure isolation, and equivalence with the
-// batch Campaign loop on the real kernel sets.
+// snapshots), work stealing, failure isolation, board dispatch equality, and
+// sliced runs equal to the unsliced batch Campaign on the real kernel sets.
 #include "nfp/service.h"
 
 #include <gtest/gtest.h>
@@ -245,6 +245,28 @@ TEST(CampaignService, BoardDispatchDefaultsToBlockEvenWhereJitRuns) {
   EXPECT_EQ(CampaignService(cfg).board_dispatch(), sim::Dispatch::kBlock);
 }
 
+TEST(CampaignService, BlockDispatchMatchesStepBitForBit) {
+  // The service's default board dispatch is kBlock; a service pinned to
+  // per-instruction stepping must reproduce every record exactly (measured
+  // energy/time compare bit-for-bit, not approximately), sliced or not.
+  std::vector<ServiceJob> jobs;
+  for (int i = 0; i < 6; ++i) {
+    jobs.push_back(loop_job("disp" + std::to_string(i), 150 + i * 40,
+                            i % 2 == 0 ? 0 : 700));
+  }
+  const auto block = CampaignService(fast_config(2)).run_jobs(jobs);
+  ServiceConfig step_cfg = fast_config(2);
+  step_cfg.dispatch = sim::Dispatch::kStep;
+  CampaignService step_service(step_cfg);
+  EXPECT_EQ(step_service.board_dispatch(), sim::Dispatch::kStep);
+  const auto step = step_service.run_jobs(jobs);
+  ASSERT_EQ(step.size(), block.size());
+  for (std::size_t i = 0; i < step.size(); ++i) {
+    ASSERT_TRUE(step[i].record.ok) << step[i].record.error;
+    expect_records_equal(step[i], block[i], "step vs block " + jobs[i].name);
+  }
+}
+
 TEST(CampaignService, DefaultWorkerCountFollowsTheSharedFleetRule) {
   // One rule for Campaign and CampaignService: an explicit count is kept,
   // 0 means min(hardware_concurrency, 8) (2 when the host does not say).
@@ -258,9 +280,10 @@ TEST(CampaignService, DefaultWorkerCountFollowsTheSharedFleetRule) {
 
 TEST(CampaignService, MatchesBatchCampaignOnKernelSets) {
   // The acceptance bar: real MVC + FSE kernel sets (both ABIs) through the
-  // sharded, preempting service equal the batch Campaign loop bit-for-bit
-  // in cycles and energy, at every worker count. Reduced-size kernels keep
-  // the test fast; bench_service_ab runs the full 120-kernel set.
+  // sharded, preempting service equal the unsliced batch Campaign run
+  // bit-for-bit in cycles and energy, at every worker count. Reduced-size
+  // kernels keep the test fast; bench_service_ab runs the full 120-kernel
+  // set.
   workloads::MvcKernelParams mvc;
   mvc.width = 16;
   mvc.height = 16;
@@ -290,14 +313,9 @@ TEST(CampaignService, MatchesBatchCampaignOnKernelSets) {
     cfg.calibrate = false;
     cfg.board = board_cfg;
     CampaignService service(cfg);
-    std::vector<ServiceJob> jobs;
-    for (const auto& j : batch_jobs) {
-      ServiceJob sj;
-      sj.name = j.name;
-      sj.program = j.program;
-      sj.inputs = j.inputs;
+    std::vector<ServiceJob> jobs = batch_jobs;
+    for (auto& sj : jobs) {
       sj.slice_insns = 40'000;  // force checkpoint/resume inside real runs
-      jobs.push_back(std::move(sj));
     }
     const auto got = service.run_jobs(std::move(jobs));
     ASSERT_EQ(got.size(), batch.size());

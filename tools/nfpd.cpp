@@ -118,24 +118,14 @@ int main(int argc, char** argv) {
   try {
     if (campaign) {
       // The paper's full test set: every MVC and FSE kernel in both ABIs.
-      std::vector<nfp::model::KernelJob> set;
       for (const auto abi :
            {nfp::mcc::FloatAbi::kHard, nfp::mcc::FloatAbi::kSoft}) {
         for (auto& j : nfp::workloads::make_mvc_jobs(abi)) {
-          set.push_back(std::move(j));
+          jobs.push_back(std::move(j));
         }
         for (auto& j : nfp::workloads::make_fse_jobs(abi)) {
-          set.push_back(std::move(j));
+          jobs.push_back(std::move(j));
         }
-      }
-      for (auto& j : set) {
-        nfp::model::ServiceJob sj;
-        sj.name = std::move(j.name);
-        sj.program = std::move(j.program);
-        sj.inputs = std::move(j.inputs);
-        sj.max_insns = max_insns;
-        sj.slice_insns = slice;
-        jobs.push_back(std::move(sj));
       }
     }
   } catch (const std::exception& e) {
@@ -158,9 +148,11 @@ int main(int argc, char** argv) {
       rejected.push_back(std::move(r));
       continue;
     }
-    sj.max_insns = max_insns;
-    sj.slice_insns = slice;
     jobs.push_back(std::move(sj));
+  }
+  for (auto& j : jobs) {
+    j.max_insns = max_insns;
+    j.slice_insns = slice;
   }
   // The service numbers its jobs densely from 0 in submit order; rejected
   // inputs take the ids after them.
